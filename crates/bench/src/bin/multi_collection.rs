@@ -1,9 +1,9 @@
 //! **Multi-collection loopback smoke run** (extension experiment, not a
-//! paper figure): one `ppann-service` process serving a heterogeneous
-//! catalog — a single-index collection and a sharded one with different
-//! dimensionalities — driven through every namespaced surface of PPNW v2:
-//! interleaved namespaced searches with per-collection parity against the
-//! in-process backends, the collection listing, per-collection stats, and
+//! paper figure): one `ppann-service` process serving a catalog of two
+//! collections with different dimensionalities, driven through every
+//! namespaced surface of PPNW v2: interleaved namespaced searches with
+//! per-collection parity against in-process `CloudServer`s, the collection
+//! listing, per-collection stats, and
 //! the full owner lifecycle (create an empty collection, populate it over
 //! the wire, search it, drop it).
 //!
@@ -15,7 +15,7 @@
 use ppann_bench::harness::build_scheme;
 use ppann_bench::{bench_scale, write_bench_json, JsonObject, TableWriter};
 use ppann_core::catalog::Catalog;
-use ppann_core::{EncryptedQuery, SearchOutcome, SearchParams, ShardedServer, SharedServer};
+use ppann_core::{EncryptedQuery, SearchOutcome, SearchParams};
 use ppann_datasets::{DatasetProfile, Workload};
 use ppann_hnsw::HnswParams;
 use ppann_service::{serve_catalog, ServiceClient, ServiceConfig};
@@ -30,9 +30,8 @@ fn main() {
     let n = scale.scaled(4_000, 20_000);
     let num_queries = scale.scaled(100, 500);
 
-    // Two workloads with different dimensionalities and shapes:
-    // "products" = SIFT-like (128d) behind a CloudServer, "docs" =
-    // Deep-like (96d) behind a 2-shard ShardedServer. β = 0 keeps every
+    // Two workloads with different dimensionalities: "products" =
+    // SIFT-like (128d), "docs" = Deep-like (96d). β = 0 keeps every
     // remote answer bit-comparable to the in-process reference.
     let w_a = Workload::generate(DatasetProfile::SiftLike, n, num_queries, 9341);
     let (_, server_a, mut user_a) = build_scheme(&w_a, 0.0, HnswParams::default(), 61);
@@ -48,13 +47,8 @@ fn main() {
     let ref_b: Vec<SearchOutcome> = queries_b.iter().map(|q| server_b.search(q, &params)).collect();
 
     let catalog = Arc::new(Catalog::new());
-    catalog.create("products", Box::new(SharedServer::new(server_a))).expect("products");
-    catalog
-        .create(
-            "docs",
-            Box::new(SharedServer::new(ShardedServer::from_database(server_b.into_database(), 2))),
-        )
-        .expect("docs");
+    catalog.create("products", server_a.into_database()).expect("products");
+    catalog.create("docs", server_b.into_database()).expect("docs");
 
     let config = ServiceConfig::loopback().with_workers(4).with_owner_token(TOKEN);
     let handle = serve_catalog(Arc::clone(&catalog), config).expect("bind loopback");
@@ -73,13 +67,11 @@ fn main() {
     let secs = started.elapsed().as_secs_f64();
     let interleaved_qps = (2 * num_queries) as f64 / secs;
 
-    // Listing reports both shapes.
+    // Listing reports both collections with their dimensionalities.
     let entries = client.list_collections().expect("list");
     assert_eq!(entries.len(), 2);
-    assert_eq!(entries[0].name, "docs");
-    assert_eq!(entries[0].shards, 2);
-    assert_eq!(entries[1].name, "products");
-    assert_eq!(entries[1].shards, 1);
+    assert_eq!((entries[0].name.as_str(), entries[0].dim), ("docs", w_b.dim() as u64));
+    assert_eq!((entries[1].name.as_str(), entries[1].dim), ("products", w_a.dim() as u64));
 
     // Per-collection stats saw exactly each collection's traffic.
     let s_products = client.stats_in("products").expect("stats products");
@@ -90,7 +82,7 @@ fn main() {
 
     // Owner lifecycle: create an empty collection, populate it over the
     // wire with the docs owner's material, search it, drop it.
-    client.create_collection(TOKEN, "scratch", w_b.dim(), 1).expect("create");
+    client.create_collection(TOKEN, "scratch", w_b.dim()).expect("create");
     let insert_count = 50.min(n);
     for (i, v) in w_b.base().iter().take(insert_count).enumerate() {
         let (c_sap, c_dce) = owner_b.encrypt_for_insert(v, i as u64);
@@ -109,22 +101,11 @@ fn main() {
 
     let mut t = TableWriter::new(
         &format!("Multi-collection smoke (n={n} per collection, {num_queries} queries each)"),
-        &["collection", "dim", "shape", "queries", "parity"],
+        &["collection", "dim", "queries", "parity"],
     );
-    t.row(&[
-        "products".into(),
-        w_a.dim().to_string(),
-        "cloud".into(),
-        num_queries.to_string(),
-        "exact".into(),
-    ]);
-    t.row(&[
-        "docs".into(),
-        w_b.dim().to_string(),
-        "sharded(2)".into(),
-        num_queries.to_string(),
-        "exact".into(),
-    ]);
+    for (name, dim) in [("products", w_a.dim()), ("docs", w_b.dim())] {
+        t.row(&[name.into(), dim.to_string(), num_queries.to_string(), "exact".into()]);
+    }
     t.print();
     println!(
         "\ninterleaved {interleaved_qps:.0} QPS across 2 collections; \

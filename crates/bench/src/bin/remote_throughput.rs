@@ -7,8 +7,8 @@
 //! the epoll reactor's core claim), against the in-process baseline on
 //! the same seeded workload.
 //!
-//! The two-collection row serves a catalog of two collections holding the
-//! same data ("default" plus a "mirror") and alternates every query
+//! The two-collection row serves a catalog of two collections holding
+//! copies of the same database ("default" plus a "mirror") and alternates every query
 //! between a legacy nameless frame and a namespaced one: it isolates what
 //! the multi-collection routing layer (name decode, catalog lookup,
 //! per-collection stats) costs per query. CI gates it at ≥ 0.9× the
@@ -33,8 +33,8 @@ use ppann_bench::{bench_scale, write_bench_json, JsonObject, TableWriter};
 use ppann_core::catalog::Catalog;
 use ppann_core::wal::DurabilityOptions;
 use ppann_core::{
-    save_collection_snapshot, CollectionMeta, EncryptedQuery, QueryScratch, SearchOutcome,
-    SearchParams, SharedServer, DEFAULT_COLLECTION,
+    save_collection_snapshot, CollectionMeta, EncryptedDatabase, EncryptedQuery, QueryScratch,
+    SearchOutcome, SearchParams, DEFAULT_COLLECTION,
 };
 use ppann_datasets::{DatasetProfile, Workload};
 use ppann_hnsw::HnswParams;
@@ -90,30 +90,10 @@ fn assert_parity(label: &str, got: &[SearchOutcome], reference: &[SearchOutcome]
     }
 }
 
-/// Serves a fresh loopback service, times `run` against it, and returns
-/// (QPS, bucketed p99 µs). A fresh service per mode keeps each row's
-/// stats covering only that row's samples.
-fn measure<F>(shared: &SharedServer, workers: usize, num_queries: usize, run: F) -> (f64, u64)
-where
-    F: FnOnce(std::net::SocketAddr),
-{
-    // `serve` itself is exactly a one-collection catalog, so measuring
-    // through `measure_catalog` keeps the timing protocol identical
-    // across the single-backend and catalog rows.
-    let catalog = Catalog::new();
-    catalog
-        .create(DEFAULT_COLLECTION, Box::new(shared.clone()))
-        .expect("register default collection");
-    measure_catalog(&Arc::new(catalog), workers, num_queries, run)
-}
-
-/// [`measure`] over a whole catalog instead of a single backend.
-fn measure_catalog<F>(
-    catalog: &Arc<Catalog>,
-    workers: usize,
-    num_queries: usize,
-    run: F,
-) -> (f64, u64)
+/// Serves `catalog` on a fresh loopback service, times `run` against it,
+/// and returns (QPS, bucketed p99 µs). A fresh service per mode keeps each
+/// row's stats covering only that row's samples.
+fn measure<F>(catalog: &Arc<Catalog>, workers: usize, num_queries: usize, run: F) -> (f64, u64)
 where
     F: FnOnce(std::net::SocketAddr),
 {
@@ -179,8 +159,14 @@ fn main() {
     drop(fresh);
 
     let workers = 8;
-    let shared = SharedServer::new(server);
     let dim = w.dim();
+    // Every collection owns its index, so each catalog below serves its
+    // own decoded copy of the database (`serve` is exactly the
+    // one-collection catalog `single`).
+    let db = server.into_database();
+    let copy = || EncryptedDatabase::from_bytes(db.to_bytes()).expect("decode database image");
+    let single = Arc::new(Catalog::new());
+    single.create(DEFAULT_COLLECTION, copy()).expect("register default collection");
 
     let mut t = TableWriter::new(
         &format!(
@@ -209,7 +195,7 @@ fn main() {
 
     // Sequential: one Search frame per query, one connection, one full
     // round trip each — the floor every other mode must beat.
-    let (sequential_qps, p99) = measure(&shared, workers, queries.len(), |addr| {
+    let (sequential_qps, p99) = measure(&single, workers, queries.len(), |addr| {
         let mut client = ServiceClient::connect(addr, Some(dim)).expect("connect");
         let outs: Vec<SearchOutcome> =
             queries.iter().map(|q| client.search(q, &params).expect("remote search")).collect();
@@ -220,7 +206,7 @@ fn main() {
     // Concurrent connections: the worker pool under connection-level
     // parallelism (each client still strictly sequential).
     for clients in [2usize, 4, 8] {
-        let (qps, p99) = measure(&shared, workers, queries.len(), |addr| {
+        let (qps, p99) = measure(&single, workers, queries.len(), |addr| {
             std::thread::scope(|scope| {
                 for c in 0..clients {
                     let queries = &queries;
@@ -246,7 +232,7 @@ fn main() {
 
     // Pipelined: one connection, a window of Search frames in flight.
     let window = DEFAULT_PIPELINE_WINDOW;
-    let (pipelined_qps, p99) = measure(&shared, workers, queries.len(), |addr| {
+    let (pipelined_qps, p99) = measure(&single, workers, queries.len(), |addr| {
         let mut client = ServiceClient::connect(addr, Some(dim)).expect("connect");
         let outs = client.search_pipelined(&queries, &params, window).expect("pipelined");
         assert_parity("pipelined", &outs, &reference);
@@ -255,7 +241,7 @@ fn main() {
 
     // Batched: SearchBatch frames of BATCH_SIZE queries, each fanned
     // across the server's pool by BatchExecutor.
-    let (batched_qps, p99) = measure(&shared, workers, queries.len(), |addr| {
+    let (batched_qps, p99) = measure(&single, workers, queries.len(), |addr| {
         let mut client = ServiceClient::connect(addr, Some(dim)).expect("connect");
         let mut outs = Vec::with_capacity(queries.len());
         for chunk in queries.chunks(BATCH_SIZE) {
@@ -265,20 +251,20 @@ fn main() {
     });
     push_row(format!("batched b={BATCH_SIZE}"), batched_qps, p99);
 
-    // Two collections, interleaved: the catalog registers the SAME
-    // backend twice — as "default" and as "mirror" — and every query
+    // Two collections, interleaved: the catalog registers two copies of
+    // the same database — as "default" and as "mirror" — and every query
     // alternates between a legacy nameless frame and a namespaced one.
     // Identical physical work per query to the sequential row, so the
     // delta IS the multi-collection routing layer (per-frame version
-    // handling, name decode, catalog lookup, per-collection stats); CI
-    // gates it at ≥ 0.9× sequential. (Two *distinct* indexes would
-    // additionally pay cache-locality costs that no routing layer can
-    // remove — the `multi_collection` smoke bin covers that shape,
-    // heterogeneous dims included, without a throughput gate.)
-    let catalog = Arc::new(Catalog::new());
-    catalog.create("default", Box::new(shared.clone())).expect("default collection");
-    catalog.create("mirror", Box::new(shared.clone())).expect("mirror collection");
-    let (two_coll_qps, p99) = measure_catalog(&catalog, workers, queries.len(), |addr| {
+    // handling, name decode, catalog lookup, per-collection stats) plus
+    // the cache cost of a second resident index; CI gates it at ≥ 0.9×
+    // sequential. (The `multi_collection` smoke bin covers collections of
+    // different dims, without a throughput gate.)
+    let pair = Arc::new(Catalog::new());
+    for name in [DEFAULT_COLLECTION, "mirror"] {
+        pair.create(name, copy()).expect("register collection");
+    }
+    let (two_coll_qps, p99) = measure(&pair, workers, queries.len(), |addr| {
         let mut client = ServiceClient::connect(addr, Some(dim)).expect("connect");
         let outs: Vec<SearchOutcome> = queries
             .iter()
@@ -315,13 +301,9 @@ fn main() {
     // sandwich-baseline control).
     let idle_target: usize =
         std::env::var("PPANN_IDLE_TARGET").ok().and_then(|v| v.parse().ok()).unwrap_or(1_000);
-    let idle_catalog = Catalog::new();
-    idle_catalog
-        .create(DEFAULT_COLLECTION, Box::new(shared.clone()))
-        .expect("register default collection");
     let idle_config =
         ServiceConfig::loopback().with_workers(workers).with_max_connections(idle_target + 64);
-    let handle = serve_catalog(Arc::new(idle_catalog), idle_config).expect("bind loopback");
+    let handle = serve_catalog(Arc::clone(&single), idle_config).expect("bind loopback");
     let addr = handle.local_addr();
 
     // Best-of-6 passes: one pass over the query set lasts tens of

@@ -1,14 +1,16 @@
 //! **Throughput scaling** (extension experiment, not a paper figure): the
-//! paper measures single-threaded search; this harness shows how the shared
-//! server scales query throughput with worker threads via the
+//! paper measures single-threaded search; this harness shows how one
+//! collection scales query throughput with worker threads via the
 //! `BatchExecutor`, and that result contents are identical to sequential
 //! execution.
 
 use ppann_bench::harness::build_scheme;
 use ppann_bench::{bench_scale, TableWriter};
-use ppann_core::{BatchExecutor, SearchParams, SharedServer};
+use ppann_core::catalog::Catalog;
+use ppann_core::{BatchExecutor, SearchParams};
 use ppann_datasets::{DatasetProfile, Workload};
 use ppann_hnsw::HnswParams;
+use std::sync::Arc;
 
 fn main() {
     let scale = bench_scale();
@@ -18,7 +20,7 @@ fn main() {
     let w = Workload::generate(profile, n, scale.scaled(400, 2_000), 3131);
     let (_owner, server, mut user) =
         build_scheme(&w, profile.default_beta(), HnswParams::default(), 81);
-    let shared = SharedServer::new(server);
+    let collection = Catalog::new().create("bench", server.into_database()).expect("collection");
     let params = SearchParams::from_ratio(k, 16, 160);
     let queries: Vec<_> = w.queries().iter().map(|q| user.encrypt_query(q, k)).collect();
 
@@ -32,7 +34,7 @@ fn main() {
     thread_counts.retain(|&t| t <= max_threads);
     let mut reference: Option<Vec<Vec<u32>>> = None;
     for threads in thread_counts {
-        let exec = BatchExecutor::new(shared.clone(), threads);
+        let exec = BatchExecutor::new(Arc::clone(&collection), threads);
         let outcome = exec.run(&queries, &params);
         let ids: Vec<Vec<u32>> = outcome.outcomes.iter().map(|o| o.ids.clone()).collect();
         match &reference {

@@ -1,24 +1,21 @@
 //! Batched and multi-threaded query execution.
 //!
 //! The paper measures single-threaded search; a production deployment
-//! amortizes across cores. [`BatchExecutor`] fans a query batch out over any
-//! [`QueryBackend`] with scoped worker threads, preserving result order and
-//! aggregating costs — the engine behind the `throughput_scaling` and
-//! `shard_scaling` benchmarks (extension experiments, not paper figures).
-//!
-//! The backend defaults to [`SharedServer`]. Driving a
-//! [`crate::ShardedServer`] composes inter-query parallelism (this module)
-//! with intra-query shard parallelism — size `threads × shards` against the
-//! machine's core count to avoid oversubscription.
+//! amortizes across cores. [`BatchExecutor`] fans a query batch out over a
+//! [`Collection`] with scoped worker threads, each query taking the
+//! collection's shared lock on its own, preserving result order and
+//! aggregating costs — the engine behind the service's `SearchBatch` frame
+//! and the `throughput_scaling` benchmark (an extension experiment, not a
+//! paper figure).
 
-use crate::backend::QueryBackend;
-use crate::concurrent::SharedServer;
+use crate::catalog::Collection;
 use crate::cost::QueryCost;
 use crate::query::EncryptedQuery;
 use crate::scratch::QueryScratch;
 use crate::server::{SearchOutcome, SearchParams};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Aggregated result of a batch run.
 #[derive(Debug)]
@@ -40,9 +37,9 @@ impl BatchOutcome {
     }
 }
 
-/// Runs query batches against a query backend with a fixed worker count.
-pub struct BatchExecutor<B: QueryBackend = SharedServer> {
-    server: B,
+/// Runs query batches against one collection with a fixed worker count.
+pub struct BatchExecutor {
+    collection: Arc<Collection>,
     threads: usize,
     /// Warm [`QueryScratch`] instances retained across batches: each worker
     /// checks one out for its whole run, so steady-state batch traffic
@@ -50,10 +47,10 @@ pub struct BatchExecutor<B: QueryBackend = SharedServer> {
     scratch_pool: Mutex<Vec<QueryScratch>>,
 }
 
-impl<B: QueryBackend> BatchExecutor<B> {
+impl BatchExecutor {
     /// Creates an executor with `threads` workers (clamped to ≥ 1).
-    pub fn new(server: B, threads: usize) -> Self {
-        Self { server, threads: threads.max(1), scratch_pool: Mutex::new(Vec::new()) }
+    pub fn new(collection: Arc<Collection>, threads: usize) -> Self {
+        Self { collection, threads: threads.max(1), scratch_pool: Mutex::new(Vec::new()) }
     }
 
     fn checkout_scratch(&self) -> QueryScratch {
@@ -81,8 +78,10 @@ impl<B: QueryBackend> BatchExecutor<B> {
         let threads = self.threads.min(n.max(1));
         if threads == 1 {
             let mut scratch = self.checkout_scratch();
-            let outcomes: Vec<SearchOutcome> =
-                queries.iter().map(|q| self.server.search_in(&mut scratch, q, params)).collect();
+            let outcomes: Vec<SearchOutcome> = queries
+                .iter()
+                .map(|q| self.collection.search_in(&mut scratch, q, params))
+                .collect();
             self.checkin_scratch(scratch);
             return Self::finish(outcomes, started, 1);
         }
@@ -95,7 +94,7 @@ impl<B: QueryBackend> BatchExecutor<B> {
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
             for _ in 0..threads {
-                let server = &self.server;
+                let collection = &*self.collection;
                 let cursor = &cursor;
                 let mut scratch = self.checkout_scratch();
                 handles.push(scope.spawn(move || {
@@ -105,7 +104,7 @@ impl<B: QueryBackend> BatchExecutor<B> {
                         if i >= n {
                             break;
                         }
-                        local.push((i, server.search_in(&mut scratch, &queries[i], params)));
+                        local.push((i, collection.search_in(&mut scratch, &queries[i], params)));
                     }
                     (local, scratch)
                 }));
@@ -140,24 +139,33 @@ impl<B: QueryBackend> BatchExecutor<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
     use crate::owner::{DataOwner, PpAnnParams};
-    use crate::server::CloudServer;
     use ppann_linalg::{seeded_rng, uniform_vec};
+
+    fn collection(
+        n: usize,
+        dim: usize,
+        beta: f64,
+        seed: u64,
+    ) -> (Vec<Vec<f64>>, DataOwner, Arc<Collection>) {
+        let mut rng = seeded_rng(seed);
+        let data: Vec<Vec<f64>> = (0..n).map(|_| uniform_vec(&mut rng, dim, -1.0, 1.0)).collect();
+        let owner = DataOwner::setup(PpAnnParams::new(dim).with_beta(beta).with_seed(seed), &data);
+        let coll = Catalog::new().create("batch", owner.outsource(&data)).unwrap();
+        (data, owner, coll)
+    }
 
     #[test]
     fn batch_matches_sequential_results() {
-        let mut rng = seeded_rng(511);
-        let data: Vec<Vec<f64>> = (0..400).map(|_| uniform_vec(&mut rng, 6, -1.0, 1.0)).collect();
-        let owner = DataOwner::setup(PpAnnParams::new(6).with_beta(0.5).with_seed(3), &data);
-        let server = CloudServer::new(owner.outsource(&data));
-        let shared = SharedServer::new(server);
+        let (data, owner, coll) = collection(400, 6, 0.5, 511);
         let mut user = owner.authorize_user();
         let queries: Vec<_> = (0..24).map(|i| user.encrypt_query(&data[i], 5)).collect();
         let params = SearchParams::from_ratio(5, 8, 60);
 
         let sequential: Vec<Vec<u32>> =
-            queries.iter().map(|q| shared.search(q, &params).ids).collect();
-        let exec = BatchExecutor::new(shared, 4);
+            queries.iter().map(|q| coll.search(q, &params).ids).collect();
+        let exec = BatchExecutor::new(coll, 4);
         let batch = exec.run(&queries, &params);
         assert_eq!(batch.outcomes.len(), 24);
         assert_eq!(batch.threads, 4);
@@ -170,13 +178,10 @@ mod tests {
 
     #[test]
     fn fan_out_clamps_to_batch_size() {
-        let mut rng = seeded_rng(513);
-        let data: Vec<Vec<f64>> = (0..120).map(|_| uniform_vec(&mut rng, 4, -1.0, 1.0)).collect();
-        let owner = DataOwner::setup(PpAnnParams::new(4).with_seed(5), &data);
-        let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
+        let (data, owner, coll) = collection(120, 4, 1.0, 513);
         let mut user = owner.authorize_user();
         let queries: Vec<_> = (0..2).map(|i| user.encrypt_query(&data[i], 3)).collect();
-        let exec = BatchExecutor::new(shared.clone(), 8);
+        let exec = BatchExecutor::new(Arc::clone(&coll), 8);
         let batch = exec.run(&queries, &SearchParams::from_ratio(3, 8, 40));
         assert_eq!(batch.threads, 2, "two queries must not spawn eight workers");
         // A one-query batch runs inline on the calling thread.
@@ -184,17 +189,46 @@ mod tests {
         assert_eq!(single.threads, 1);
         assert_eq!(
             single.outcomes[0].ids,
-            shared.search(&queries[0], &SearchParams::from_ratio(3, 8, 40)).ids
+            coll.search(&queries[0], &SearchParams::from_ratio(3, 8, 40)).ids
         );
     }
 
     #[test]
     fn empty_batch() {
-        let data = vec![vec![0.0, 1.0]];
-        let owner = DataOwner::setup(PpAnnParams::new(2).with_seed(4), &data);
-        let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
-        let exec = BatchExecutor::new(shared, 3);
+        let (_, _, coll) = collection(1, 2, 1.0, 4);
+        let exec = BatchExecutor::new(coll, 3);
         let out = exec.run(&[], &SearchParams::from_ratio(1, 1, 10));
         assert!(out.outcomes.is_empty());
+    }
+
+    /// Work-stealing with more workers than queries, and with heavily
+    /// skewed per-query cost (k varies), must still fill every slot in
+    /// input order.
+    #[test]
+    fn batch_ordering_survives_worker_skew() {
+        let (data, owner, coll) = collection(300, 6, 0.5, 4454);
+        let mut user = owner.authorize_user();
+        let params = SearchParams { k_prime: 40, ef_search: 80 };
+
+        // Skew: query i asks for k = 1..=12, so per-query refine cost varies.
+        let queries: Vec<_> =
+            (0..12).map(|i| user.encrypt_query(&data[i * 5], 1 + (i % 12))).collect();
+        let sequential: Vec<Vec<u32>> =
+            queries.iter().map(|q| coll.search(q, &params).ids).collect();
+
+        for threads in [1usize, 3, 16, 64] {
+            let exec = BatchExecutor::new(Arc::clone(&coll), threads);
+            let batch = exec.run(&queries, &params);
+            // The fan-out clamps to the batch size: 64 configured workers
+            // on a 12-query batch spawn 12 threads.
+            assert_eq!(batch.threads, threads.clamp(1, queries.len()));
+            let got: Vec<Vec<u32>> = batch.outcomes.iter().map(|o| o.ids.clone()).collect();
+            assert_eq!(got, sequential, "{threads} workers reordered results");
+            // Costs aggregate across exactly the same work.
+            assert_eq!(
+                batch.total_cost.refine_sdc_comps,
+                batch.outcomes.iter().map(|o| o.cost.refine_sdc_comps).sum::<u64>()
+            );
+        }
     }
 }

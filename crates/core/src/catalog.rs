@@ -4,11 +4,9 @@
 //! A production deployment rarely hosts one dataset — each owner ships its
 //! own encrypted database, with its own dimensionality and its own privacy
 //! / accuracy trade-off (the paper tunes β per dataset). [`Catalog`] owns
-//! any number of named **collections**, each a type-erased
-//! [`ErasedBackend`] — so a `CloudServer` collection lives next to a
-//! `ShardedServer` one behind the same map — and hands out cheaply
-//! clonable [`Collection`] handles the service layer routes requests
-//! through.
+//! any number of named **collections**, each one [`CloudServer`] of its own
+//! dimensionality, and hands out cheaply clonable [`Collection`] handles
+//! the service layer routes requests through.
 //!
 //! ## Concurrency
 //!
@@ -17,6 +15,10 @@
 //! collection dropped mid-query finishes the queries already routed to it
 //! and is freed when the last handle goes away; new requests get an
 //! unknown-collection error.
+//!
+//! Inside a collection the `CloudServer` sits behind a second `RwLock`:
+//! searches take it shared, inserts and deletes exclusive. A durable
+//! collection's WAL mutex is the outer lock of every mutation.
 //!
 //! ## Names
 //!
@@ -29,16 +31,14 @@
 //! name can travel to this check and be answered as a semantic error
 //! (PROTOCOL.md §4 "Collections").
 
-use crate::backend::{BackendKind, ErasedBackend};
-use crate::concurrent::SharedServer;
 use crate::index::EncryptedDatabase;
 use crate::persist::{
     atomic_write, collection_container_bytes, collection_snapshot_bytes, load_snapshot_bytes,
     CollectionMeta, PersistError, SNAPSHOT_EXT,
 };
 use crate::query::EncryptedQuery;
+use crate::scratch::QueryScratch;
 use crate::server::{CloudServer, SearchOutcome, SearchParams};
-use crate::shard::ShardedServer;
 use crate::wal::{
     replay, snapshot_id, wal_path_for, DurabilityOptions, SnapshotId, WalRecord, WalWriter,
 };
@@ -55,12 +55,10 @@ pub const DEFAULT_COLLECTION: &str = "default";
 /// Maximum collection-name length in bytes.
 pub const MAX_COLLECTION_NAME_LEN: usize = 64;
 
-/// Maximum shard fan-out a collection may declare, whether it arrives
-/// over the wire (`CreateCollection`, PROTOCOL.md §3.17) or embedded in
-/// a v2 snapshot ([`Catalog::load_dir`]). Each shard builds its own
-/// index on its own thread, so an unbounded count is a resource bomb —
-/// a corrupt snapshot demanding 65535 shards must fail as
-/// [`PersistError::Corrupt`], not abort startup mid-thread-spawn.
+/// Largest shard count a v2 snapshot header may carry. Shards are retired
+/// — every collection is one [`CloudServer`] and any count in
+/// `1..=MAX_SHARDS` loads as one — but a value outside the range still
+/// marks the file as damaged and fails as [`PersistError::Corrupt`].
 pub const MAX_SHARDS: usize = 64;
 
 /// Catalog failures.
@@ -116,8 +114,8 @@ pub fn validate_collection_name(name: &str) -> Result<(), CatalogError> {
 /// The durable state of one collection: its open write-ahead log plus
 /// the snapshot path compaction rewrites. Serialized by the collection's
 /// WAL mutex, which is the *outer* lock of every durable mutation (the
-/// backend's own `RwLock` is taken inside it, never the other way
-/// around — searches take only the backend lock and are unaffected).
+/// server's `RwLock` is taken inside it, never the other way around —
+/// searches take only the server lock and are unaffected).
 struct CollectionWal {
     state: WalState,
     snapshot_path: PathBuf,
@@ -281,16 +279,16 @@ pub struct WalStatus {
     pub compact_bytes: u64,
 }
 
-/// One named collection: a validated name plus its type-erased backend.
+/// One named collection: a validated name plus the [`CloudServer`] that
+/// answers it, behind a read-write lock — searches share it, inserts and
+/// deletes take it exclusively.
 pub struct Collection {
     name: String,
-    /// Cached at registration: a backend's dimensionality never changes
+    /// Cached at registration: a server's dimensionality never changes
     /// (inserts are dim-checked against it), so the hot request path
-    /// reads a field instead of taking the backend's lock per frame.
+    /// reads a field instead of taking the server lock per frame.
     dim: usize,
-    /// Cached at registration, immutable for the collection's lifetime.
-    kind: BackendKind,
-    backend: Box<dyn ErasedBackend>,
+    server: RwLock<CloudServer>,
     /// `Some` on a durable (`--data-dir`) collection: every mutation is
     /// logged before it is applied. `None` keeps the collection
     /// in-memory-only with infallible mutations.
@@ -298,6 +296,16 @@ pub struct Collection {
 }
 
 impl Collection {
+    fn new(name: &str, db: EncryptedDatabase, wal: Option<CollectionWal>) -> Self {
+        let server = CloudServer::new(db);
+        Self {
+            name: name.to_string(),
+            dim: server.dim(),
+            server: RwLock::new(server),
+            wal: wal.map(Mutex::new),
+        }
+    }
+
     /// The collection's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -308,93 +316,89 @@ impl Collection {
         self.dim
     }
 
-    /// The backend's shape.
-    pub fn kind(&self) -> BackendKind {
-        self.kind
-    }
-
     /// Live vector count.
     pub fn live_len(&self) -> usize {
-        self.backend.live_len()
+        self.server.read().len()
     }
 
-    /// Answers one query.
+    /// Answers one query under the shared lock.
     pub fn search(&self, query: &EncryptedQuery, params: &SearchParams) -> SearchOutcome {
-        self.backend.search(query, params)
+        self.server.read().search(query, params)
     }
 
-    /// Answers one query through caller-owned scratch
-    /// ([`crate::QueryBackend::search_in`] semantics): what a long-lived
+    /// Answers one query under the shared lock through caller-owned
+    /// scratch ([`CloudServer::search_in`] semantics): what a long-lived
     /// service worker calls so its warm buffers survive across requests.
     pub fn search_in(
         &self,
-        scratch: &mut crate::scratch::QueryScratch,
+        scratch: &mut QueryScratch,
         query: &EncryptedQuery,
         params: &SearchParams,
     ) -> SearchOutcome {
-        self.backend.search_in(scratch, query, params)
-    }
-
-    /// Answers a batch, fanning across up to `threads` workers
-    /// (input order preserved).
-    pub fn search_many(
-        &self,
-        queries: &[EncryptedQuery],
-        params: &SearchParams,
-        threads: usize,
-    ) -> Vec<SearchOutcome> {
-        self.backend.search_many(queries, params, threads)
+        self.server.read().search_in(scratch, query, params)
     }
 
     /// Inserts a pre-encrypted vector, returning its assigned id.
     ///
     /// On a durable collection this is **write-ahead**: the record is
     /// appended to the log (and fsynced per policy) *before* the
-    /// backend is touched, so an `Ok` id is exactly as durable as the
-    /// policy promises and an `Err` guarantees the backend did not
+    /// server is touched, so an `Ok` id is exactly as durable as the
+    /// policy promises and an `Err` guarantees the server did not
     /// change — the caller must not acknowledge. The id is predicted
-    /// from the backend's slot count; the WAL mutex serializes every
+    /// from the server's slot count; the WAL mutex serializes every
     /// mutation, so the prediction cannot race.
     pub fn insert(&self, c_sap: Vec<f64>, c_dce: DceCiphertext) -> Result<u32, PersistError> {
         let Some(wal) = &self.wal else {
-            return Ok(self.backend.insert(c_sap, c_dce));
+            return Ok(self.server.write().insert(c_sap, c_dce));
         };
         let mut wal = wal.lock();
-        let id = self.backend.slots() as u32;
+        let id = self.slots() as u32;
         wal.writer()?.append_insert(id, &c_sap, &c_dce)?;
-        let assigned = self.backend.insert(c_sap, c_dce);
-        debug_assert_eq!(assigned, id, "WAL id prediction diverged from the backend");
+        let assigned = self.server.write().insert(c_sap, c_dce);
+        debug_assert_eq!(assigned, id, "WAL id prediction diverged from the server");
         self.maybe_compact(&mut wal);
         Ok(id)
     }
 
-    /// Check-and-delete under one exclusive lock; `Ok(false)` leaves
-    /// the backend untouched. Durable collections log the delete before
+    /// Check-and-delete: `Ok(false)` (server untouched) when `id` is out
+    /// of range or already deleted, instead of the panic of
+    /// [`CloudServer::delete`]. Durable collections log the delete before
     /// applying it (see [`Self::insert`] for the contract).
     pub fn try_delete(&self, id: u32) -> Result<bool, PersistError> {
         let Some(wal) = &self.wal else {
-            return Ok(self.backend.try_delete(id));
+            return Ok(self.delete_if_live(id));
         };
         let mut wal = wal.lock();
-        if !self.backend.is_live(id) {
+        if !self.is_live(id) {
             return Ok(false);
         }
         wal.writer()?.append_delete(id)?;
-        let deleted = self.backend.try_delete(id);
+        let deleted = self.delete_if_live(id);
         debug_assert!(deleted, "liveness cannot change under the WAL mutex");
         self.maybe_compact(&mut wal);
         Ok(deleted)
     }
 
+    /// Check and removal under one exclusive lock, so concurrent deletes
+    /// of one id cannot race into the panic path.
+    fn delete_if_live(&self, id: u32) -> bool {
+        let mut server = self.server.write();
+        let live = server.is_live(id);
+        if live {
+            server.delete(id);
+        }
+        live
+    }
+
     /// Whether `id` names a live vector.
     pub fn is_live(&self, id: u32) -> bool {
-        self.backend.is_live(id)
+        self.server.read().is_live(id)
     }
 
     /// Total id slots allocated (live + tombstoned): the id the next
     /// insert will assign.
     pub fn slots(&self) -> usize {
-        self.backend.slots()
+        self.server.read().slots()
     }
 
     /// Whether mutations are written ahead to a log (a `--data-dir`
@@ -451,7 +455,7 @@ impl Collection {
                 // prediction here is safe because replication apply is
                 // single-threaded per collection and followers reject
                 // client mutations.
-                let expected = self.backend.slots() as u32;
+                let expected = self.slots() as u32;
                 if *id != expected {
                     return Err(ReplicaApplyError::IdMismatch { expected, got: *id });
                 }
@@ -462,7 +466,7 @@ impl Collection {
                 Ok(())
             }
             WalRecord::Delete { id } => {
-                if !self.backend.is_live(*id) {
+                if !self.is_live(*id) {
                     return Err(ReplicaApplyError::NotLive(*id));
                 }
                 let deleted =
@@ -477,7 +481,7 @@ impl Collection {
     }
 
     /// Compacts now regardless of the byte threshold: rewrites the
-    /// snapshot from the backend's current state and starts a fresh
+    /// snapshot from the server's current state and starts a fresh
     /// sealed log. Returns `false` (a no-op) on a non-durable
     /// collection.
     pub fn compact(&self) -> Result<bool, PersistError> {
@@ -512,7 +516,7 @@ impl Collection {
     /// The compaction sequence, under the WAL mutex. Crash-safe by
     /// ordering alone:
     ///
-    /// 1. Serialize the backend (every logged record is now in the image
+    /// 1. Serialize the server (every logged record is now in the image
     ///    — the mutex guarantees no mutation slips in between).
     /// 2. Atomically replace the snapshot. A crash before this rename
     ///    leaves old snapshot + old log (nothing happened); a crash
@@ -532,8 +536,8 @@ impl Collection {
                 "collection was dropped",
             )));
         }
-        let image = self.backend.database_image();
-        let meta = CollectionMeta { name: self.name.clone(), shards: self.kind.shards() };
+        let image = self.server.read().database().to_bytes();
+        let meta = CollectionMeta { name: self.name.clone(), shards: 1 };
         let container = collection_container_bytes(&meta, &image);
         atomic_write(&wal.snapshot_path, &container)?;
         wal.state = WalState::NeedsReseal(snapshot_id(&container));
@@ -571,27 +575,11 @@ impl Collection {
     }
 }
 
-impl crate::backend::QueryBackend for Collection {
-    fn search(&self, query: &EncryptedQuery, params: &SearchParams) -> SearchOutcome {
-        Collection::search(self, query, params)
-    }
-
-    fn search_in(
-        &self,
-        scratch: &mut crate::scratch::QueryScratch,
-        query: &EncryptedQuery,
-        params: &SearchParams,
-    ) -> SearchOutcome {
-        Collection::search_in(self, scratch, query, params)
-    }
-}
-
 impl std::fmt::Debug for Collection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Collection")
             .field("name", &self.name)
             .field("dim", &self.dim())
-            .field("kind", &self.kind())
             .field("live", &self.live_len())
             .finish()
     }
@@ -607,8 +595,6 @@ pub struct CollectionInfo {
     pub dim: usize,
     /// Live vector count at listing time.
     pub live: usize,
-    /// Backend shape.
-    pub kind: BackendKind,
 }
 
 /// Many named collections behind one lock (see the module docs).
@@ -623,17 +609,17 @@ impl Catalog {
         Self::default()
     }
 
-    /// Registers a collection under `name`. Fails on an invalid or
-    /// already-taken name; name reservation is atomic, so two concurrent
-    /// creates of the same name cannot both succeed.
+    /// Registers `db` as the in-memory collection `name`. Fails on an
+    /// invalid or already-taken name; name reservation is atomic, so two
+    /// concurrent creates of the same name cannot both succeed.
     pub fn create(
         &self,
         name: &str,
-        backend: Box<dyn ErasedBackend>,
+        db: EncryptedDatabase,
     ) -> Result<Arc<Collection>, CatalogError> {
         validate_collection_name(name)?;
         let mut map = self.inner.write();
-        Self::register_locked(&mut map, name, backend, None)
+        Self::register_locked(&mut map, name, db, None)
     }
 
     /// The shared tail of every create: builds the handle and inserts it
@@ -641,53 +627,15 @@ impl Catalog {
     fn register_locked(
         map: &mut BTreeMap<String, Arc<Collection>>,
         name: &str,
-        backend: Box<dyn ErasedBackend>,
+        db: EncryptedDatabase,
         wal: Option<CollectionWal>,
     ) -> Result<Arc<Collection>, CatalogError> {
         if map.contains_key(name) {
             return Err(CatalogError::Duplicate(name.to_string()));
         }
-        let coll = Arc::new(Collection {
-            name: name.to_string(),
-            dim: backend.dim(),
-            kind: backend.kind(),
-            backend,
-            wal: wal.map(Mutex::new),
-        });
+        let coll = Arc::new(Collection::new(name, db, wal));
         map.insert(name.to_string(), Arc::clone(&coll));
         Ok(coll)
-    }
-
-    /// The backend a database + shard count pair builds: 1 shard is a
-    /// `CloudServer` (the cheaper identical-result shape), more is a
-    /// `ShardedServer`.
-    fn backend_for(db: EncryptedDatabase, shards: usize) -> Box<dyn ErasedBackend> {
-        if shards <= 1 {
-            Box::new(SharedServer::new(CloudServer::new(db)))
-        } else {
-            Box::new(SharedServer::new(ShardedServer::from_database(db, shards)))
-        }
-    }
-
-    /// Registers `db` as a single-index [`CloudServer`] collection.
-    pub fn create_cloud(
-        &self,
-        name: &str,
-        db: EncryptedDatabase,
-    ) -> Result<Arc<Collection>, CatalogError> {
-        self.create(name, Self::backend_for(db, 1))
-    }
-
-    /// Registers `db` re-partitioned into a [`ShardedServer`] collection
-    /// of `shards` shards (clamped to ≥ 1; 1 shard builds a `CloudServer`
-    /// instead, the cheaper identical-result shape).
-    pub fn create_sharded(
-        &self,
-        name: &str,
-        db: EncryptedDatabase,
-        shards: usize,
-    ) -> Result<Arc<Collection>, CatalogError> {
-        self.create(name, Self::backend_for(db, shards))
     }
 
     /// Registers `db` as a **durable** collection in `dir`: writes its
@@ -704,7 +652,6 @@ impl Catalog {
         &self,
         name: &str,
         db: EncryptedDatabase,
-        shards: usize,
         dir: &Path,
         opts: DurabilityOptions,
     ) -> Result<Arc<Collection>, DurableCatalogError> {
@@ -713,8 +660,7 @@ impl Catalog {
         if map.contains_key(name) {
             return Err(DurableCatalogError::Catalog(CatalogError::Duplicate(name.to_string())));
         }
-        let meta =
-            CollectionMeta { name: name.to_string(), shards: shards.clamp(1, MAX_SHARDS) as u16 };
+        let meta = CollectionMeta { name: name.to_string(), shards: 1 };
         let container = collection_snapshot_bytes(&meta, &db);
         let path = dir.join(format!("{name}.{SNAPSHOT_EXT}"));
         let cleanup = || {
@@ -729,8 +675,7 @@ impl Catalog {
             cleanup();
             DurableCatalogError::Persist(e.into())
         })?;
-        Self::register_locked(&mut map, name, Self::backend_for(db, shards), Some(wal))
-            .map_err(DurableCatalogError::Catalog)
+        Self::register_locked(&mut map, name, db, Some(wal)).map_err(DurableCatalogError::Catalog)
     }
 
     /// Installs (or atomically replaces) a **replica** collection: an
@@ -744,23 +689,15 @@ impl Catalog {
         &self,
         name: &str,
         db: EncryptedDatabase,
-        shards: usize,
     ) -> Result<Arc<Collection>, CatalogError> {
         validate_collection_name(name)?;
-        let backend = Self::backend_for(db, shards);
-        let coll = Arc::new(Collection {
-            name: name.to_string(),
-            dim: backend.dim(),
-            kind: backend.kind(),
-            backend,
-            wal: None,
-        });
+        let coll = Arc::new(Collection::new(name, db, None));
         self.inner.write().insert(name.to_string(), Arc::clone(&coll));
         Ok(coll)
     }
 
     /// Removes and returns the collection named `name`. In-flight queries
-    /// holding the handle finish normally; the backend is freed when the
+    /// holding the handle finish normally; the server is freed when the
     /// last handle drops.
     pub fn drop_collection(&self, name: &str) -> Result<Arc<Collection>, CatalogError> {
         validate_collection_name(name)?;
@@ -787,7 +724,6 @@ impl Catalog {
                 name: c.name().to_string(),
                 dim: c.dim(),
                 live: c.live_len(),
-                kind: c.kind(),
             })
             .collect()
     }
@@ -810,10 +746,11 @@ impl Catalog {
     /// Builds a catalog from a snapshot directory: every `*.ppdb` file
     /// becomes one collection named after its file stem, loaded in sorted
     /// order. v2 snapshots must embed the same name as their stem (a
-    /// renamed file is refused rather than silently re-labeled) and carry
-    /// their shard count; v1 snapshots load as single-index `CloudServer`
-    /// collections — the back-compat path for databases written before
-    /// collections existed.
+    /// renamed file is refused rather than silently re-labeled); v1
+    /// snapshots — databases written before collections existed — load
+    /// the same way. Every collection is one [`CloudServer`]: a v2 header
+    /// naming several shards (a retired server shape) loads losslessly as
+    /// one index, because its inner image is always the whole database.
     ///
     /// A collection with a `<name>.wal` next to its snapshot gets the
     /// log **replayed** over the snapshot, recovering every mutation
@@ -863,24 +800,20 @@ impl Catalog {
             let base = snapshot_id(&raw);
             let (meta, mut db) =
                 load_snapshot_bytes(Bytes::from(raw)).map_err(|e| corrupt(e.to_string()))?;
-            let shards = match meta {
-                Some(meta) => {
-                    if meta.name != stem {
-                        return Err(corrupt(format!(
-                            "embedded collection name `{}` does not match the file stem",
-                            meta.name
-                        )));
-                    }
-                    if meta.shards == 0 || meta.shards as usize > MAX_SHARDS {
-                        return Err(corrupt(format!(
-                            "shard count {} outside 1..={MAX_SHARDS}",
-                            meta.shards
-                        )));
-                    }
-                    meta.shards as usize
+            if let Some(meta) = meta {
+                if meta.name != stem {
+                    return Err(corrupt(format!(
+                        "embedded collection name `{}` does not match the file stem",
+                        meta.name
+                    )));
                 }
-                None => 1,
-            };
+                if meta.shards == 0 || meta.shards as usize > MAX_SHARDS {
+                    return Err(corrupt(format!(
+                        "shard count {} outside 1..={MAX_SHARDS}",
+                        meta.shards
+                    )));
+                }
+            }
             let (report, log_usable) = replay_wal_over(&mut db, &path, base, &stem)?;
             reports.push(report);
             let wal = match durability {
@@ -892,8 +825,7 @@ impl Catalog {
                 }),
             };
             let mut map = catalog.inner.write();
-            Self::register_locked(&mut map, &stem, Self::backend_for(db, shards), wal)
-                .map_err(|e| corrupt(e.to_string()))?;
+            Self::register_locked(&mut map, &stem, db, wal).map_err(|e| corrupt(e.to_string()))?;
         }
         Ok((catalog, reports))
     }
@@ -1059,17 +991,16 @@ mod tests {
         let (data_a, owner_a, db_a) = make_db(120, 4, 31);
         let (data_b, owner_b, db_b) = make_db(150, 6, 32);
         let catalog = Catalog::new();
-        catalog.create_cloud("products", db_a).unwrap();
-        catalog.create_sharded("docs", db_b, 3).unwrap();
+        catalog.create("products", db_a).unwrap();
+        catalog.create("docs", db_b).unwrap();
 
         assert_eq!(catalog.len(), 2);
         assert_eq!(catalog.total_live(), 270);
         let infos = catalog.list();
         assert_eq!(infos[0].name, "docs");
         assert_eq!(infos[0].dim, 6);
-        assert_eq!(infos[0].kind, BackendKind::Sharded { shards: 3 });
         assert_eq!(infos[1].name, "products");
-        assert_eq!(infos[1].kind, BackendKind::Cloud);
+        assert_eq!(infos[1].dim, 4);
 
         let products = catalog.get("products").unwrap();
         let docs = catalog.get("docs").unwrap();
@@ -1079,11 +1010,12 @@ mod tests {
         assert_eq!(out.ids.len(), 3);
         assert_eq!(out.ids[0], 0);
         let mut user_b = owner_b.authorize_user();
-        let outs = docs.search_many(
-            &[user_b.encrypt_query(&data_b[1], 2), user_b.encrypt_query(&data_b[2], 2)],
-            &params,
-            2,
-        );
+        let outs = crate::BatchExecutor::new(docs, 2)
+            .run(
+                &[user_b.encrypt_query(&data_b[1], 2), user_b.encrypt_query(&data_b[2], 2)],
+                &params,
+            )
+            .outcomes;
         assert_eq!(outs.len(), 2);
         assert_eq!(outs[0].ids[0], 1);
         assert_eq!(outs[1].ids[0], 2);
@@ -1093,10 +1025,10 @@ mod tests {
     fn duplicate_and_unknown_names_are_errors() {
         let (_, _, db) = make_db(30, 4, 33);
         let catalog = Catalog::new();
-        catalog.create_cloud("default", db).unwrap();
+        catalog.create("default", db).unwrap();
         let (_, _, db2) = make_db(30, 4, 34);
         assert_eq!(
-            catalog.create_cloud("default", db2).unwrap_err(),
+            catalog.create("default", db2).unwrap_err(),
             CatalogError::Duplicate("default".into())
         );
         assert_eq!(
@@ -1115,7 +1047,7 @@ mod tests {
     fn dropped_collection_handle_stays_usable() {
         let (data, owner, db) = make_db(80, 4, 35);
         let catalog = Catalog::new();
-        let handle = catalog.create_cloud("ephemeral", db).unwrap();
+        let handle = catalog.create("ephemeral", db).unwrap();
         catalog.drop_collection("ephemeral").unwrap();
         assert!(catalog.get("ephemeral").is_none());
         // The held Arc still answers: in-flight queries never race a drop.
@@ -1129,7 +1061,7 @@ mod tests {
     fn maintenance_through_the_erased_handle() {
         let (_, owner, db) = make_db(40, 4, 36);
         let catalog = Catalog::new();
-        let coll = catalog.create_sharded("m", db, 2).unwrap();
+        let coll = catalog.create("m", db).unwrap();
         let novel = vec![6.0, 6.0, 6.0, 6.0];
         let (c_sap, c_dce) = owner.encrypt_for_insert(&novel, 1);
         let id = coll.insert(c_sap, c_dce).unwrap();
@@ -1162,10 +1094,9 @@ mod tests {
         let legacy = catalog.get("legacy").unwrap();
         assert_eq!(legacy.dim(), 4);
         assert_eq!(legacy.live_len(), 25);
-        assert_eq!(legacy.kind(), BackendKind::Cloud);
         let wide = catalog.get("wide").unwrap();
         assert_eq!(wide.dim(), 6);
-        assert_eq!(wide.kind(), BackendKind::Sharded { shards: 2 });
+        assert_eq!(wide.live_len(), 35);
 
         // A v2 snapshot renamed away from its embedded name is refused.
         std::fs::rename(dir.join("wide.ppdb"), dir.join("renamed.ppdb")).unwrap();
@@ -1175,10 +1106,10 @@ mod tests {
 
     #[test]
     fn load_dir_refuses_absurd_shard_counts() {
-        // A corrupt (or hand-crafted) v2 snapshot demanding u16::MAX
-        // shards must surface as PersistError::Corrupt, not spawn 65535
-        // index-build threads at startup. The wire CreateCollection path
-        // enforces the same MAX_SHARDS bound.
+        // Shard counts are retired, but a v2 header outside
+        // 1..=MAX_SHARDS still marks a damaged file: it must surface as
+        // PersistError::Corrupt. The wire CreateCollection path
+        // refuses every count but 1.
         let dir =
             std::env::temp_dir().join(format!("ppanns_catalog_shards_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1216,7 +1147,7 @@ mod tests {
         let (data, owner, db) = make_db(30, 4, 50);
         let catalog = Catalog::new();
         let opts = DurabilityOptions::default();
-        let coll = catalog.create_durable("docs", db, 1, &dir, opts).unwrap();
+        let coll = catalog.create_durable("docs", db, &dir, opts).unwrap();
         assert!(coll.is_durable());
 
         let mut inserted = Vec::new();
@@ -1259,7 +1190,7 @@ mod tests {
         // Tiny threshold: a handful of dim-4 inserts (~200 bytes each)
         // crosses it quickly.
         let opts = DurabilityOptions { compact_bytes: 1024, ..DurabilityOptions::default() };
-        let coll = catalog.create_durable("churn", db, 2, &dir, opts).unwrap();
+        let coll = catalog.create_durable("churn", db, &dir, opts).unwrap();
         for round in 0..30 {
             let (c_sap, c_dce) = owner.encrypt_for_insert(&data[round % data.len()], 1);
             coll.insert(c_sap, c_dce).unwrap();
@@ -1290,7 +1221,6 @@ mod tests {
             live,
             "post-compaction reload diverged"
         );
-        assert_eq!(coll.kind(), BackendKind::Sharded { shards: 2 }, "shape survives compaction");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1304,14 +1234,12 @@ mod tests {
         let opts = DurabilityOptions::default();
         {
             let catalog = Catalog::new();
-            let coll = catalog.create_durable("c", db, 1, &dir, opts).unwrap();
+            let coll = catalog.create_durable("c", db, &dir, opts).unwrap();
             let (c_sap, c_dce) = owner.encrypt_for_insert(&data[0], 1);
             coll.insert(c_sap, c_dce).unwrap();
             // Simulate the crash window: the snapshot is rewritten (as
             // compaction's step 2 does) but the log is NOT resealed.
-            let image = crate::backend::ErasedBackend::database_image(
-                catalog.get("c").unwrap().backend.as_ref(),
-            );
+            let image = catalog.get("c").unwrap().server.read().database().to_bytes();
             let meta = CollectionMeta { name: "c".into(), shards: 1 };
             atomic_write(&dir.join("c.ppdb"), &collection_container_bytes(&meta, &image)).unwrap();
         }
@@ -1337,7 +1265,7 @@ mod tests {
         let (data, owner, db) = make_db(10, 4, 53);
         let catalog = Catalog::new();
         let opts = DurabilityOptions::default();
-        let coll = catalog.create_durable("p", db, 1, &dir, opts).unwrap();
+        let coll = catalog.create_durable("p", db, &dir, opts).unwrap();
         let (c_sap, c_dce) = owner.encrypt_for_insert(&data[0], 1);
         let first = coll.insert(c_sap, c_dce).unwrap();
 
@@ -1354,7 +1282,7 @@ mod tests {
         let (c_sap, c_dce) = owner.encrypt_for_insert(&data[1], 1);
         assert!(coll.insert(c_sap, c_dce).is_err(), "ack against a stale log");
         assert!(coll.try_delete(first).is_err(), "delete ack against a stale log");
-        assert!(coll.is_live(first), "failed delete must not touch the backend");
+        assert!(coll.is_live(first), "failed delete must not touch the server");
 
         // Unblock: the next mutation retries the reseal and acks again.
         std::fs::remove_dir(&block).unwrap();
@@ -1388,7 +1316,7 @@ mod tests {
         let catalog = Catalog::new();
         // Threshold of 1 byte: every mutation would trigger compaction.
         let opts = DurabilityOptions { compact_bytes: 1, ..DurabilityOptions::default() };
-        let coll = catalog.create_durable("r", db, 1, &dir, opts).unwrap();
+        let coll = catalog.create_durable("r", db, &dir, opts).unwrap();
         let (c_sap, c_dce) = owner.encrypt_for_insert(&data[0], 1);
         coll.insert(c_sap, c_dce).unwrap();
 
@@ -1415,10 +1343,10 @@ mod tests {
     #[test]
     fn empty_database_collections_accept_inserts() {
         let catalog = Catalog::new();
-        let coll = catalog.create_sharded("fresh", EncryptedDatabase::empty(4), 2).unwrap();
+        let coll = catalog.create("fresh", EncryptedDatabase::empty(4)).unwrap();
         assert_eq!(coll.live_len(), 0);
         assert_eq!(coll.dim(), 4);
-        // Populate through the erased handle, then search.
+        // Populate through the handle, then search.
         let data = vec![vec![0.1, 0.2, 0.3, 0.4], vec![0.9, 0.8, 0.7, 0.6]];
         let owner = DataOwner::setup(PpAnnParams::new(4).with_seed(39).with_beta(0.0), &data);
         for v in &data {
@@ -1430,5 +1358,77 @@ mod tests {
         let out = coll
             .search(&user.encrypt_query(&data[1], 1), &SearchParams { k_prime: 4, ef_search: 8 });
         assert_eq!(out.ids, vec![1]);
+    }
+
+    /// Concurrent searches on the shared lock interleave with an insert
+    /// and a delete on the exclusive one.
+    #[test]
+    fn parallel_queries_and_maintenance() {
+        let (data, owner, db) = make_db(200, 6, 161);
+        let coll = Catalog::new().create("shared", db).unwrap();
+        let mut user = owner.authorize_user();
+        let queries: Vec<_> = (0..16).map(|i| user.encrypt_query(&data[i], 5)).collect();
+
+        std::thread::scope(|scope| {
+            for chunk in queries.chunks(4) {
+                let coll = &coll;
+                scope.spawn(move || {
+                    for q in chunk {
+                        let out = coll.search(q, &SearchParams { k_prime: 20, ef_search: 40 });
+                        assert_eq!(out.ids.len(), 5);
+                    }
+                });
+            }
+            let (c_sap, c_dce) = owner.encrypt_for_insert(&data[0], 99);
+            let coll = &coll;
+            scope.spawn(move || {
+                let id = coll.insert(c_sap, c_dce).unwrap();
+                assert!(coll.try_delete(id).unwrap());
+            });
+        });
+        assert_eq!(coll.live_len(), 200);
+    }
+
+    /// A v2 snapshot written by the retired sharded shape (header
+    /// `shards: 2`, inner image the whole database) loads as one index
+    /// through both loaders, answers exactly like a `CloudServer` built
+    /// from the same image, and keeps answering after a compaction
+    /// rewrites it with `shards: 1`.
+    #[test]
+    fn legacy_sharded_snapshot_loads_as_one_index() {
+        let dir = temp_dir("legacy_sharded");
+        let (data, owner, db) = make_db(60, 4, 41);
+        let image = db.to_bytes();
+        let meta = CollectionMeta { name: "old".into(), shards: 2 };
+        save_collection_snapshot(&dir.join("old.ppdb"), &meta, &db).unwrap();
+        let reference = CloudServer::new(db);
+        let mut user = owner.authorize_user();
+        let params = SearchParams { k_prime: 20, ef_search: 40 };
+        let queries: Vec<_> = (0..10).map(|i| user.encrypt_query(&data[i * 5], 4)).collect();
+        let expected: Vec<Vec<u32>> =
+            queries.iter().map(|q| reference.search(q, &params).ids).collect();
+        let answers = |coll: &Collection| -> Vec<Vec<u32>> {
+            queries.iter().map(|q| coll.search(q, &params).ids).collect()
+        };
+
+        let plain = Catalog::load_dir(&dir).unwrap();
+        assert_eq!(answers(&plain.get("old").unwrap()), expected, "load_dir");
+        drop(plain);
+
+        let opts = DurabilityOptions::default();
+        let (durable, _) = Catalog::load_dir_durable(&dir, opts).unwrap();
+        let coll = durable.get("old").unwrap();
+        assert_eq!(coll.server.read().database().to_bytes(), image, "image changed on load");
+        assert_eq!(answers(&coll), expected, "load_dir_durable");
+        assert!(coll.compact().unwrap());
+        assert_eq!(answers(&coll), expected, "after compact");
+        drop((coll, durable));
+
+        let raw = std::fs::read(dir.join("old.ppdb")).unwrap();
+        let (meta, _) = load_snapshot_bytes(Bytes::from(raw)).unwrap();
+        assert_eq!(meta.unwrap().shards, 1, "compaction rewrites the retired count");
+        let (reloaded, _) = Catalog::load_dir_durable(&dir, opts).unwrap();
+        assert_eq!(answers(&reloaded.get("old").unwrap()), expected, "reload after compact");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -16,18 +16,16 @@
 //!   HNSW-over-SAP index (cheap, approximate) followed by an exact top-k
 //!   refinement that orders candidates *only* through DCE's `DistanceComp`.
 //!
-//! ## Beyond the paper: scale-out server shapes
+//! ## Beyond the paper: one server, many collections
 //!
-//! The ROADMAP's production goals add three compositions over the same
-//! query message, abstracted by [`QueryBackend`] / [`MaintainableServer`]:
-//! [`ShardedServer`] (per-query multi-core fan-out with a single exact
-//! merge-refine), [`SharedServer`] (concurrent queries + exclusive
-//! maintenance over any backend), and [`BatchExecutor`] (work-stealing
-//! batch throughput over any backend). On top of them the [`Catalog`]
-//! hosts many *named collections* in one process — each a type-erased
-//! [`ErasedBackend`], so differently-shaped and differently-sized indexes
-//! coexist — which is what the network service namespaces its requests
-//! over.
+//! There is one server shape: the paper's [`CloudServer`]. A [`Catalog`]
+//! hosts many *named collections* of it in one process, each a
+//! [`Collection`] holding its `CloudServer` behind a read-write lock
+//! (concurrent searches, exclusive maintenance) plus an optional
+//! write-ahead log; collections may differ in dimensionality. The network
+//! service namespaces its requests over the catalog, and
+//! [`BatchExecutor`] fans a query batch over one collection's shared lock
+//! with work-stealing threads.
 //!
 //! ## What the server learns
 //!
@@ -53,10 +51,8 @@
 //! assert_eq!(outcome.ids[0], 0); // the query point itself is its own 1-NN
 //! ```
 
-mod backend;
 pub mod batch;
 pub mod catalog;
-mod concurrent;
 mod cost;
 mod heap;
 mod index;
@@ -66,22 +62,17 @@ mod persist;
 mod query;
 mod scratch;
 mod server;
-mod shard;
 pub mod tune;
 mod user;
 pub mod wal;
 pub mod wire;
 
-pub use backend::{
-    BackendInfo, BackendKind, ErasedBackend, MaintainableServer, QueryBackend, SnapshotSource,
-};
 pub use batch::{BatchExecutor, BatchOutcome};
 pub use catalog::{
     validate_collection_name, Catalog, CatalogError, Collection, CollectionInfo,
     DurableCatalogError, ReplicaApplyError, ReplicationSource, WalRecoveryReport, WalStatus,
     DEFAULT_COLLECTION, MAX_COLLECTION_NAME_LEN,
 };
-pub use concurrent::SharedServer;
 pub use cost::{QueryCost, UserCost};
 pub use heap::SecureTopK;
 pub use index::EncryptedDatabase;
@@ -93,7 +84,6 @@ pub use persist::{
 pub use query::EncryptedQuery;
 pub use scratch::{QueryScratch, QueryScratchPool};
 pub use server::{CloudServer, SearchOutcome, SearchParams};
-pub use shard::ShardedServer;
 pub use user::QueryUser;
 pub use wal::{DurabilityOptions, FsyncPolicy, DEFAULT_COMPACT_BYTES};
 pub use wire::WireError;

@@ -21,6 +21,9 @@
 //! | shards u16 | inner_len u64 | complete v1 snapshot bytes
 //! ```
 //!
+//! `shards` is retired: it is written as 1 and ignored on load once it
+//! passes the range check ([`CollectionMeta::shards`]).
+//!
 //! [`load_snapshot`] reads either: a v1 file loads as an anonymous
 //! database (the catalog layer wraps it as collection `"default"`, or
 //! names it after its file stem in a `--data-dir`), so every `db.bin`
@@ -154,8 +157,10 @@ pub struct CollectionMeta {
     /// Collection name (must satisfy
     /// [`validate_collection_name`](crate::catalog::validate_collection_name)).
     pub name: String,
-    /// Shard count the serving backend is built with (1 = `CloudServer`,
-    /// more = `ShardedServer`).
+    /// Retired shard count, kept for byte compatibility: new snapshots
+    /// write 1, and any value in `1..=`[`MAX_SHARDS`](crate::catalog::MAX_SHARDS)
+    /// loads as one single-index collection (the inner image is always
+    /// the whole database).
     pub shards: u16,
 }
 
@@ -166,9 +171,9 @@ pub fn collection_snapshot_bytes(meta: &CollectionMeta, db: &EncryptedDatabase) 
 }
 
 /// [`collection_snapshot_bytes`] over a pre-serialized v1 database
-/// image — what WAL compaction uses, which gets the inner image from
-/// the backend (`ErasedBackend::database_image`) rather than from an
-/// owned [`EncryptedDatabase`].
+/// image — what WAL compaction uses, which serializes the collection's
+/// server under its shared lock rather than owning an
+/// [`EncryptedDatabase`].
 pub fn collection_container_bytes(meta: &CollectionMeta, inner: &[u8]) -> Bytes {
     let name = meta.name.as_bytes();
     assert!(name.len() <= u16::MAX as usize, "collection name too long to snapshot");

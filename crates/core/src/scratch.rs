@@ -1,27 +1,23 @@
 //! Reusable per-query working set for the filter-and-refine pipeline.
 //!
-//! [`QueryScratch`] bundles everything a backend needs to answer one
-//! `Search` without touching the allocator on the warm path: the HNSW
-//! filter scratch (per shard, for sharded backends), the refine phase's
-//! candidate-id staging buffer, and the [`crate::SecureTopK`] heap storage.
-//! Long-lived owners — reactor workers, batch-executor threads — hold one
-//! across requests; [`QueryScratchPool`] covers everyone else with a
-//! per-thread freelist. The determinism contract from `ppann-hnsw` extends
-//! here: a search through dirty scratch is bitwise identical to one through
+//! [`QueryScratch`] bundles everything [`crate::CloudServer::search_in`]
+//! needs to answer one `Search` without touching the allocator on the warm
+//! path: the HNSW filter scratch, the refine phase's candidate-id staging
+//! buffer, and the [`crate::SecureTopK`] heap storage. Long-lived owners —
+//! reactor workers, batch-executor threads — hold one across requests;
+//! [`QueryScratchPool`] covers everyone else with a per-thread freelist.
+//! The determinism contract from `ppann-hnsw` extends here: a search
+//! through dirty scratch is bitwise identical to one through
 //! `QueryScratch::default()` (DESIGN.md §6).
 
 use ppann_hnsw::SearchScratch;
 use std::cell::RefCell;
 
-/// Scratch for one in-flight query across the whole backend stack.
+/// Scratch for one in-flight query.
 #[derive(Default)]
 pub struct QueryScratch {
-    /// Filter-phase scratch for the single-index (`CloudServer`) path.
+    /// Filter-phase scratch.
     pub(crate) hnsw: SearchScratch,
-    /// Per-shard filter scratch (`ShardedServer`); grown to shard count.
-    pub(crate) shards: Vec<SearchScratch>,
-    /// Per-shard global-id staging (`ShardedServer`).
-    pub(crate) shard_ids: Vec<Vec<u32>>,
     /// Refine-phase candidate ids offered to the secure top-k heap.
     pub(crate) cand_ids: Vec<u32>,
     /// Recycled [`crate::SecureTopK`] heap storage.
@@ -33,12 +29,6 @@ impl QueryScratch {
     /// contribution behind the service's `scratch_bytes` gauge.
     pub fn resident_bytes(&self) -> usize {
         self.hnsw.resident_bytes()
-            + self.shards.iter().map(SearchScratch::resident_bytes).sum::<usize>()
-            + self
-                .shard_ids
-                .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<u32>())
-                .sum::<usize>()
             + self.cand_ids.capacity() * std::mem::size_of::<u32>()
             + self.topk.capacity() * std::mem::size_of::<u32>()
     }
@@ -53,7 +43,7 @@ thread_local! {
 }
 
 /// Per-thread freelist of [`QueryScratch`] instances, backing the
-/// scratch-less [`crate::backend::QueryBackend::search`] entry points.
+/// scratch-less [`crate::CloudServer::search`] entry point.
 pub struct QueryScratchPool;
 
 impl QueryScratchPool {
@@ -91,7 +81,6 @@ mod tests {
         let before = s.resident_bytes();
         s.cand_ids.reserve(128);
         s.topk.reserve(128);
-        s.shard_ids.push(Vec::with_capacity(64));
-        assert!(s.resident_bytes() >= before + 128 * 4 + 128 * 4 + 64 * 4);
+        assert!(s.resident_bytes() >= before + 128 * 4 + 128 * 4);
     }
 }

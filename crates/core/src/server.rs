@@ -35,9 +35,9 @@ pub struct SearchOutcome {
     /// between the SAP ciphertext of the query and the stored SAP ciphertext
     /// of each result (aligned with [`Self::ids`]). These are values the
     /// server can already compute from what it stores — no plaintext
-    /// distance is revealed — and they are bit-identical across every
-    /// backend answering from the same outsourced database, which the
-    /// service layer's loopback parity tests rely on.
+    /// distance is revealed — and they are bit-identical wherever the same
+    /// outsourced database answers, in-process or behind the service,
+    /// which the service layer's loopback parity tests rely on.
     pub sap_dists: Vec<f64>,
     /// Number of candidates the filter phase produced (≤ k′).
     pub filter_candidates: usize,
@@ -100,19 +100,21 @@ impl CloudServer {
         params: &SearchParams,
     ) -> SearchOutcome {
         let started = Instant::now();
-        let hnsw = self.db.hnsw();
-        // Cost is read as a counter delta, not reset-then-read: the counter
-        // is shared per index, and a reset would erase the work of queries
-        // running concurrently under [`crate::SharedServer`]. Per-query
-        // numbers are approximate under concurrency, exact sequentially.
-        let dist_before = hnsw.distance_computations();
 
-        // Filter: k′ candidates ranked by approximate (SAP) distance.
+        // Filter: k′ candidates ranked by approximate (SAP) distance. The
+        // hnsw scratch counts this query's distance computations itself,
+        // so the figure stays exact while other threads search the index.
         let k_prime = params.k_prime.max(query.k);
-        let candidates =
-            hnsw.search_in(&mut scratch.hnsw, &query.c_sap, k_prime, params.ef_search.max(k_prime));
-        let filter_dist_comps = hnsw.distance_computations().saturating_sub(dist_before);
+        let candidates = self.db.hnsw().search_in(
+            &mut scratch.hnsw,
+            &query.c_sap,
+            k_prime,
+            params.ef_search.max(k_prime),
+        );
         let filter_candidates = candidates.len();
+        scratch.cand_ids.clear();
+        scratch.cand_ids.extend(candidates.iter().map(|c| c.id));
+        let filter_dist_comps = scratch.hnsw.dist_comps();
 
         // Refine: exact top-k via DCE comparisons only, offered as one
         // batch so the at-capacity screen scores the candidate set with a
@@ -124,8 +126,6 @@ impl CloudServer {
             query.k,
             std::mem::take(&mut scratch.topk),
         );
-        scratch.cand_ids.clear();
-        scratch.cand_ids.extend(candidates.iter().map(|c| c.id));
         heap.offer_many(&scratch.cand_ids);
         let refine_sdc_comps = heap.comparisons();
         let (ids, storage) = heap.into_sorted_parts();
@@ -147,13 +147,19 @@ impl CloudServer {
     /// refinement entirely.
     pub fn search_filter_only(&self, query: &EncryptedQuery, ef_search: usize) -> SearchOutcome {
         let started = Instant::now();
-        let hnsw = self.db.hnsw();
-        let dist_before = hnsw.distance_computations();
-        let hits = hnsw.search(&query.c_sap, query.k, ef_search.max(query.k));
-        let ids: Vec<u32> = hits.iter().map(|h| h.id).collect();
+        let (ids, filter_dist_comps) = QueryScratchPool::with(|scratch| {
+            let hits = self.db.hnsw().search_in(
+                &mut scratch.hnsw,
+                &query.c_sap,
+                query.k,
+                ef_search.max(query.k),
+            );
+            let ids: Vec<u32> = hits.iter().map(|h| h.id).collect();
+            (ids, scratch.hnsw.dist_comps())
+        });
         let sap_dists = self.db.sap_distances(&query.c_sap, &ids);
         let cost = QueryCost {
-            filter_dist_comps: hnsw.distance_computations().saturating_sub(dist_before),
+            filter_dist_comps,
             refine_sdc_comps: 0,
             server_time: started.elapsed(),
             bytes_up: query.upload_bytes(),
@@ -180,66 +186,29 @@ impl CloudServer {
     }
 
     /// Server-side deletion with graph repair (Section V-D).
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range or already deleted; remote callers
+    /// check [`Self::is_live`] first.
     pub fn delete(&mut self, id: u32) {
         self.db.delete(id);
+    }
+
+    /// Whether `id` names a live (in-range, not yet deleted) vector, i.e.
+    /// whether [`Self::delete`] would succeed.
+    pub fn is_live(&self, id: u32) -> bool {
+        self.db.is_live(id)
+    }
+
+    /// Total id slots allocated, live or tombstoned — the id the next
+    /// [`Self::insert`] will assign (what the write-ahead log records).
+    pub fn slots(&self) -> usize {
+        self.db.hnsw().capacity_slots()
     }
 
     /// Consumes the server, returning the stored database (for persistence).
     pub fn into_database(self) -> EncryptedDatabase {
         self.db
-    }
-}
-
-impl crate::backend::QueryBackend for CloudServer {
-    fn search(&self, query: &EncryptedQuery, params: &SearchParams) -> SearchOutcome {
-        CloudServer::search(self, query, params)
-    }
-
-    fn search_in(
-        &self,
-        scratch: &mut QueryScratch,
-        query: &EncryptedQuery,
-        params: &SearchParams,
-    ) -> SearchOutcome {
-        CloudServer::search_in(self, scratch, query, params)
-    }
-}
-
-impl crate::backend::BackendInfo for CloudServer {
-    fn dim(&self) -> usize {
-        CloudServer::dim(self)
-    }
-
-    fn kind(&self) -> crate::backend::BackendKind {
-        crate::backend::BackendKind::Cloud
-    }
-}
-
-impl crate::backend::MaintainableServer for CloudServer {
-    fn insert(&mut self, c_sap: Vec<f64>, c_dce: DceCiphertext) -> u32 {
-        CloudServer::insert(self, c_sap, c_dce)
-    }
-
-    fn delete(&mut self, id: u32) {
-        CloudServer::delete(self, id)
-    }
-
-    fn is_live(&self, id: u32) -> bool {
-        self.db.is_live(id)
-    }
-
-    fn live_len(&self) -> usize {
-        self.len()
-    }
-
-    fn slots(&self) -> usize {
-        self.db.hnsw().capacity_slots()
-    }
-}
-
-impl crate::backend::SnapshotSource for CloudServer {
-    fn database_image(&self) -> bytes::Bytes {
-        self.db.to_bytes()
     }
 }
 
@@ -324,6 +293,38 @@ mod tests {
         assert!(out.cost.refine_sdc_comps > 0);
         assert!(out.cost.bytes_up > 0);
         assert_eq!(out.cost.bytes_down, 4 * out.ids.len() as u64);
+    }
+
+    /// Two threads searching one index at once must each report exactly
+    /// the distance computations their own query costs alone.
+    #[test]
+    fn dist_comps_are_per_query_under_concurrency() {
+        let (data, owner, server) = setup(400, 8, 0.5, 157);
+        let mut user = owner.authorize_user();
+        let params = SearchParams { k_prime: 30, ef_search: 60 };
+        let queries: Vec<_> = (0..2).map(|i| user.encrypt_query(&data[i * 7], 5)).collect();
+        let alone: Vec<u64> =
+            queries.iter().map(|q| server.search(q, &params).cost.filter_dist_comps).collect();
+        assert_ne!(alone[0], alone[1], "pick queries whose counts differ");
+
+        let before = server.database().hnsw().distance_computations();
+        let rounds = 200;
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (q, &expected) in queries.iter().zip(&alone) {
+                let (server, barrier) = (&server, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for round in 0..rounds {
+                        let got = server.search(q, &params).cost.filter_dist_comps;
+                        assert_eq!(got, expected, "round {round}: count smeared across threads");
+                    }
+                });
+            }
+        });
+        // The index-wide total still adds up every search exactly.
+        let total = server.database().hnsw().distance_computations() - before;
+        assert_eq!(total, rounds * (alone[0] + alone[1]));
     }
 
     #[test]

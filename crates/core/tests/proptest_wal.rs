@@ -180,7 +180,7 @@ proptest! {
         {
             let catalog = Catalog::new();
             let coll = catalog
-                .create_durable("c", owner.outsource(&base), 1, &dir, opts)
+                .create_durable("c", owner.outsource(&base), &dir, opts)
                 .unwrap();
             for op in &ops {
                 match *op {

@@ -80,8 +80,11 @@ pub struct Hnsw {
     shrink_base: Vec<f64>,
     shrink_dists: Vec<f64>,
     live: usize,
-    /// Distance computations performed by searches (the paper's cost unit
-    /// for the filter phase). Relaxed atomic so `search(&self)` stays `&self`.
+    /// Distance computations performed so far (the paper's cost unit for
+    /// the filter phase). Each operation counts in its scratch and adds
+    /// its total here once, so concurrent searches never smear into one
+    /// another's per-query figure. Relaxed atomic so `search(&self)`
+    /// stays `&self`.
     dist_comps: AtomicU64,
 }
 
@@ -184,9 +187,10 @@ impl Hnsw {
     ) -> Vec<Vec<Neighbor>> {
         let Some(entry) = self.entry else { return Vec::new() };
         let top_level = self.nodes[entry as usize].level();
+        scratch.dist_comps = 0;
         let mut ep = entry;
         for layer in ((level + 1)..=top_level).rev() {
-            ep = self.greedy_closest(vector, ep, layer, &mut scratch.dists);
+            ep = self.greedy_closest(scratch, vector, ep, layer);
         }
         let mut plan = Vec::new();
         let mut eps = vec![ep];
@@ -199,6 +203,7 @@ impl Hnsw {
             }
             plan.push(scratch.out.clone());
         }
+        self.publish(scratch.dist_comps);
         plan.reverse(); // plan[layer] = candidates for that layer
         plan
     }
@@ -216,12 +221,13 @@ impl Hnsw {
             return;
         };
         let top_level = self.nodes[entry as usize].level();
+        let mut comps = 0;
         for (layer, found) in plan.into_iter().enumerate() {
             if layer > level.min(top_level) {
                 break;
             }
             let m = self.params.max_degree(layer);
-            let chosen = self.select_neighbors(vector, &found, m);
+            let chosen = self.select_neighbors(&found, m, &mut comps);
             for nb in &chosen {
                 if nb.id == id || self.nodes[nb.id as usize].links.len() <= layer {
                     continue;
@@ -231,6 +237,7 @@ impl Hnsw {
                 self.shrink_if_needed(nb.id, layer);
             }
         }
+        self.publish(comps);
         if level > top_level {
             self.entry = Some(id);
         }
@@ -271,7 +278,9 @@ impl Hnsw {
         self.nodes[id as usize].deleted
     }
 
-    /// Distance computations performed so far by searches.
+    /// Distance computations performed so far by every search, insert and
+    /// delete on this index. Per-search figures come from
+    /// [`SearchScratch::dist_comps`] instead.
     pub fn distance_computations(&self) -> u64 {
         self.dist_comps.load(Ordering::Relaxed)
     }
@@ -281,9 +290,15 @@ impl Hnsw {
         self.dist_comps.store(0, Ordering::Relaxed);
     }
 
+    /// Adds one finished operation's distance computations to the
+    /// index-wide total.
+    fn publish(&self, comps: u64) {
+        self.dist_comps.fetch_add(comps, Ordering::Relaxed);
+    }
+
     #[inline]
-    fn dist(&self, a: &[f64], id: u32) -> f64 {
-        self.dist_comps.fetch_add(1, Ordering::Relaxed);
+    fn dist(&self, a: &[f64], id: u32, comps: &mut u64) -> f64 {
+        *comps += 1;
         squared_euclidean(a, self.store.get(id))
     }
 
@@ -292,8 +307,8 @@ impl Hnsw {
     /// registers across a whole adjacency list. Per-id results are
     /// bit-identical to [`Self::dist`], and the counter advances by the
     /// same amount — batching is a pure execution-shape change.
-    fn dist_many(&self, query: &[f64], ids: &[u32], out: &mut Vec<f64>) {
-        self.dist_comps.fetch_add(ids.len() as u64, Ordering::Relaxed);
+    fn dist_many(&self, query: &[f64], ids: &[u32], out: &mut Vec<f64>, comps: &mut u64) {
+        *comps += ids.len() as u64;
         out.clear();
         out.resize(ids.len(), 0.0);
         // Row pointers are staged in a fixed stack array so the warm path
@@ -322,18 +337,19 @@ impl Hnsw {
     /// order reproduces the sequential scan's choice exactly.
     fn greedy_closest(
         &self,
+        scratch: &mut SearchScratch,
         query: &[f64],
         mut ep: u32,
         layer: usize,
-        dists: &mut Vec<f64>,
     ) -> u32 {
-        let mut best = self.dist(query, ep);
+        let SearchScratch { dists, dist_comps, .. } = scratch;
+        let mut best = self.dist(query, ep, dist_comps);
         loop {
             let links = &self.nodes[ep as usize].links[layer];
             if links.is_empty() {
                 return ep;
             }
-            self.dist_many(query, links, dists);
+            self.dist_many(query, links, dists, dist_comps);
             let mut improved = false;
             for (&nb, &d) in links.iter().zip(dists.iter()) {
                 if d < best {
@@ -363,7 +379,8 @@ impl Hnsw {
         layer: usize,
         include_deleted: bool,
     ) {
-        let SearchScratch { visited, candidates, results, fresh, dists, out, .. } = scratch;
+        let SearchScratch { visited, candidates, results, fresh, dists, out, dist_comps, .. } =
+            scratch;
         visited.reset(self.nodes.len());
         candidates.clear();
         results.clear();
@@ -372,7 +389,7 @@ impl Hnsw {
             if !visited.insert(ep) {
                 continue;
             }
-            let d = self.dist(query, ep);
+            let d = self.dist(query, ep, dist_comps);
             let n = Neighbor { id: ep, dist: d };
             candidates.push(ClosestFirst(n));
             if include_deleted || !self.nodes[ep as usize].deleted {
@@ -399,7 +416,7 @@ impl Hnsw {
             if fresh.is_empty() {
                 continue;
             }
-            self.dist_many(query, fresh, dists);
+            self.dist_many(query, fresh, dists, dist_comps);
             for (&nb, &d) in fresh.iter().zip(dists.iter()) {
                 let worst = results.peek().map_or(f64::INFINITY, |f| f.0.dist);
                 if results.len() < ef || d < worst {
@@ -425,8 +442,14 @@ impl Hnsw {
 
     /// `SELECT-NEIGHBORS-HEURISTIC` (Algorithm 4): keeps candidates that are
     /// closer to the base point than to any already-selected neighbor, which
-    /// preserves edge diversity and graph navigability.
-    fn select_neighbors(&self, base: &[f64], candidates: &[Neighbor], m: usize) -> Vec<Neighbor> {
+    /// preserves edge diversity and graph navigability. Candidate distances
+    /// to the base point are already folded into `candidates`.
+    fn select_neighbors(
+        &self,
+        candidates: &[Neighbor],
+        m: usize,
+        comps: &mut u64,
+    ) -> Vec<Neighbor> {
         let mut work: Vec<Neighbor> = candidates.to_vec();
         work.sort_by(|a, b| a.dist.partial_cmp(&b.dist).unwrap());
         let mut selected: Vec<Neighbor> = Vec::with_capacity(m);
@@ -437,7 +460,7 @@ impl Hnsw {
             }
             let cand_vec = self.store.get(cand.id);
             let diverse = selected.iter().all(|s| {
-                self.dist_comps.fetch_add(1, Ordering::Relaxed);
+                *comps += 1;
                 squared_euclidean(cand_vec, self.store.get(s.id)) > cand.dist
             });
             if diverse {
@@ -454,7 +477,6 @@ impl Hnsw {
                 selected.push(p);
             }
         }
-        let _ = base; // base vector already folded into candidate distances
         selected
     }
 
@@ -476,11 +498,12 @@ impl Hnsw {
         let mut base = std::mem::take(&mut scratch.base);
         base.clear();
         base.extend_from_slice(self.store.get(id));
+        scratch.dist_comps = 0;
 
         // Phase 1: greedy descent through layers above the node's level.
         let mut ep = entry;
         for layer in ((level + 1)..=top_level).rev() {
-            ep = self.greedy_closest(&base, ep, layer, &mut scratch.dists);
+            ep = self.greedy_closest(&mut scratch, &base, ep, layer);
         }
 
         // Phase 2: beam search + bidirectional wiring on each shared layer.
@@ -488,7 +511,7 @@ impl Hnsw {
         for layer in (0..=level.min(top_level)).rev() {
             self.search_layer(&mut scratch, &base, &eps, self.params.ef_construction, layer, true);
             let m = self.params.max_degree(layer);
-            let chosen = self.select_neighbors(&base, &scratch.out, m);
+            let chosen = self.select_neighbors(&scratch.out, m, &mut scratch.dist_comps);
             // Entry points for the next layer come from this layer's beam;
             // extract them before the wiring below reuses the scratch.
             eps.clear();
@@ -502,6 +525,7 @@ impl Hnsw {
                 self.shrink_if_needed(nb.id, layer);
             }
         }
+        self.publish(scratch.dist_comps);
         scratch.base = base;
         self.scratch = scratch;
 
@@ -526,10 +550,12 @@ impl Hnsw {
         base.clear();
         base.extend_from_slice(self.store.get(node));
         let links = &self.nodes[node as usize].links[layer];
-        self.dist_many(&base, links, &mut dists);
+        let mut comps = 0;
+        self.dist_many(&base, links, &mut dists, &mut comps);
         let cands: Vec<Neighbor> =
             links.iter().zip(&dists).map(|(&nb, &d)| Neighbor { id: nb, dist: d }).collect();
-        let chosen = self.select_neighbors(&base, &cands, m);
+        let chosen = self.select_neighbors(&cands, m, &mut comps);
+        self.publish(comps);
         self.nodes[node as usize].links[layer] = chosen.into_iter().map(|n| n.id).collect();
         self.shrink_base = base;
         self.shrink_dists = dists;
@@ -545,24 +571,14 @@ impl Hnsw {
         ScratchPool::with(|scratch| self.search_in(scratch, query, k, ef).to_vec())
     }
 
-    /// Search variant reusing caller-owned scratch space and returning an
-    /// owned `Vec` (callers that can hold the borrow should prefer
-    /// [`Self::search_in`], which allocates nothing at all).
-    pub fn search_with(
-        &self,
-        scratch: &mut SearchScratch,
-        query: &[f64],
-        k: usize,
-        ef: usize,
-    ) -> Vec<Neighbor> {
-        self.search_in(scratch, query, k, ef).to_vec()
-    }
-
     /// Allocation-free search: results are left in (and borrowed from)
     /// `scratch.out`. A warm scratch — one whose buffers already fit this
     /// graph and beam width — performs **zero** heap allocations here, and
     /// the output is bitwise identical regardless of the scratch's history
     /// (see [`SearchScratch`] and DESIGN.md §6 for the determinism contract).
+    /// The search's distance computations are left in
+    /// [`SearchScratch::dist_comps`] and added once to
+    /// [`Self::distance_computations`].
     pub fn search_in<'s>(
         &self,
         scratch: &'s mut SearchScratch,
@@ -570,6 +586,7 @@ impl Hnsw {
         k: usize,
         ef: usize,
     ) -> &'s [Neighbor] {
+        scratch.dist_comps = 0;
         let Some(entry) = self.entry else {
             scratch.out.clear();
             return &scratch.out;
@@ -578,10 +595,11 @@ impl Hnsw {
         let ef = ef.max(k);
         let mut ep = entry;
         for layer in (1..=self.nodes[entry as usize].level()).rev() {
-            ep = self.greedy_closest(query, ep, layer, &mut scratch.dists);
+            ep = self.greedy_closest(scratch, query, ep, layer);
         }
         self.search_layer(scratch, query, &[ep], ef, 0, false);
         scratch.out.truncate(k);
+        self.publish(scratch.dist_comps);
         &scratch.out
     }
 
@@ -635,6 +653,7 @@ impl Hnsw {
         // k-ANN of itself ("reinsert it into HNSW" per the paper).
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut base = std::mem::take(&mut scratch.base);
+        scratch.dist_comps = 0;
         for (layer, vs) in in_neighbors.iter().enumerate() {
             for &v in vs {
                 if self.entry.is_none() {
@@ -658,7 +677,7 @@ impl Hnsw {
                     .filter(|n| n.id != v && !self.is_deleted(n.id))
                     .collect();
                 let m = self.params.max_degree(layer);
-                let mut chosen = self.select_neighbors(&base, &cands, m);
+                let mut chosen = self.select_neighbors(&cands, m, &mut scratch.dist_comps);
                 // Keep existing live links that the re-selection missed.
                 let existing = self.nodes[v as usize].links[layer].clone();
                 for e in existing {
@@ -672,6 +691,7 @@ impl Hnsw {
                 self.nodes[v as usize].links[layer] = chosen.into_iter().map(|n| n.id).collect();
             }
         }
+        self.publish(scratch.dist_comps);
         scratch.base = base;
         self.scratch = scratch;
     }

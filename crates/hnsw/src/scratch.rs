@@ -47,9 +47,20 @@ pub struct SearchScratch {
     /// read a vector they are about to search for; the store cannot be
     /// borrowed across the mutation, so the bytes are staged here).
     pub(crate) base: Vec<f64>,
+    /// Distance computations of the last search run through this scratch
+    /// (reset at its start). Counting here rather than in the index keeps
+    /// the per-search figure exact when many threads search one index.
+    pub(crate) dist_comps: u64,
 }
 
 impl SearchScratch {
+    /// Distance computations performed by the last search through this
+    /// scratch — the paper's filter-phase cost unit, exact per query
+    /// whatever else runs against the same index.
+    pub fn dist_comps(&self) -> u64 {
+        self.dist_comps
+    }
+
     /// Approximate resident heap bytes across every buffer — what the
     /// service's `scratch_bytes` gauge aggregates per worker. The model
     /// (DESIGN.md §6): `marks(n)` for each stamp table plus `ef`-bounded

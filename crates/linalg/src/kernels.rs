@@ -32,7 +32,7 @@
 //! discusses what it means for Theorem 3 sign decisions near zero. Within
 //! one process the dispatch is fixed, so every result remains deterministic
 //! and all same-process parity contracts (remote-vs-local bit equality,
-//! shard distance profiles) are unaffected.
+//! dirty-vs-fresh scratch) are unaffected.
 //!
 //! ## Escape hatch
 //!

@@ -466,21 +466,20 @@ impl ServiceClient {
     }
 
     /// Owner-authenticated creation of a fresh, empty collection of the
-    /// given dimensionality, served by `shards` shards (1 = single-index).
-    /// On a `--data-dir` server the snapshot file is written before this
-    /// returns. Populate it with [`Self::insert_in`].
+    /// given dimensionality (one index; the frame's retired `shards` field
+    /// is sent as 1). On a `--data-dir` server the snapshot file is
+    /// written before this returns. Populate it with [`Self::insert_in`].
     pub fn create_collection(
         &mut self,
         token: u64,
         name: &str,
         dim: usize,
-        shards: u16,
     ) -> Result<(), ClientError> {
         let frame = Frame::CreateCollection {
             token,
             name: name.as_bytes().to_vec(),
             dim: dim as u64,
-            shards,
+            shards: 1,
         };
         match self.call(&frame)? {
             Frame::CreateCollectionAck => Ok(()),

@@ -11,7 +11,7 @@
 //!   Byte-level spec with worked hex examples: `PROTOCOL.md` at the
 //!   repository root, rendered into these docs as the [`spec`] module.
 //! * [`server`] — a readiness-driven service core over a whole
-//!   [`ppann_core::Catalog`] of named collections (the single-backend
+//!   [`ppann_core::Catalog`] of named collections (the single-server
 //!   [`serve`] entry point is a one-collection catalog): one reactor
 //!   thread owns the listener, an edge-triggered one-shot `epoll` set,
 //!   and every connection's registration and deadline; a fixed worker
@@ -19,9 +19,9 @@
 //!   incrementally, answers one request per wake and never blocks on a
 //!   peer (partial writes are buffered and flushed on writability).
 //!   Idle keep-alive connections park in the kernel at zero cost. Every
-//!   request frame routes to its collection's type-erased backend:
-//!   concurrent searches under the shared lock, whole-`SearchBatch`
-//!   frames fanned across the backend's batch executor, exclusive owner
+//!   request frame routes to its collection's `CloudServer`: concurrent
+//!   searches under the shared lock, whole-`SearchBatch` frames fanned
+//!   across a `BatchExecutor`, exclusive owner
 //!   maintenance, a disk-backed collection lifecycle (`--data-dir`),
 //!   validated search knobs and batch sizes, graceful shutdown, atomic
 //!   [`ServiceStats`] both process-wide and per collection (including
@@ -44,7 +44,7 @@
 //! ## Loopback quickstart
 //!
 //! ```
-//! use ppann_core::{CloudServer, DataOwner, PpAnnParams, SearchParams, SharedServer};
+//! use ppann_core::{CloudServer, DataOwner, PpAnnParams, SearchParams};
 //! use ppann_linalg::{seeded_rng, uniform_vec};
 //! use ppann_service::{serve, ServiceClient, ServiceConfig};
 //!
@@ -52,10 +52,10 @@
 //! let mut rng = seeded_rng(5);
 //! let data: Vec<Vec<f64>> = (0..300).map(|_| uniform_vec(&mut rng, 8, -1.0, 1.0)).collect();
 //! let owner = DataOwner::setup(PpAnnParams::new(8).with_seed(2), &data);
-//! let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
+//! let server = CloudServer::new(owner.outsource(&data));
 //!
 //! // Cloud side: serve over TCP (port 0 = OS-assigned).
-//! let handle = serve(shared, ServiceConfig::loopback()).unwrap();
+//! let handle = serve(server, ServiceConfig::loopback()).unwrap();
 //!
 //! // User side: encrypt locally, query remotely.
 //! let mut user = owner.authorize_user();
@@ -91,5 +91,5 @@ pub use server::{serve, serve_catalog, ServiceConfig, ServiceHandle};
 pub use stats::{ServiceStats, StatsSnapshot};
 pub use wire::{
     CollectionEntry, ErrorCode, Frame, ProtocolError, WireName, COLLECTION_KIND_CLOUD,
-    COLLECTION_KIND_SHARDED, DEFAULT_MAX_FRAME, PROTOCOL_VERSION, PROTOCOL_VERSION_LEGACY,
+    DEFAULT_MAX_FRAME, PROTOCOL_VERSION, PROTOCOL_VERSION_LEGACY,
 };

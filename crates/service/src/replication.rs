@@ -538,16 +538,15 @@ fn install_pending(ctx: &FollowerCtx, name: &str, state: &mut SyncState) -> bool
         return false;
     }
     let bytes = bytes::Bytes::from(std::mem::take(&mut state.pending));
-    let (meta, db) = match ppann_core::load_snapshot_bytes(bytes) {
-        Ok(loaded) => loaded,
+    let db = match ppann_core::load_snapshot_bytes(bytes) {
+        Ok((_, db)) => db,
         Err(_) => return false,
     };
-    let shards = meta.map(|m| m.shards as usize).unwrap_or(1).max(1);
     // Slot before visibility, same as the create path: a resolved
     // collection must always find its stats slot.
     let _lifecycle = ctx.coll_stats.lock_lifecycle();
     ctx.coll_stats.insert(name);
-    if ctx.catalog.install_replica(name, db, shards).is_err() {
+    if ctx.catalog.install_replica(name, db).is_err() {
         return false;
     }
     state.seal = state.pending_seal;

@@ -11,9 +11,9 @@
 //! N worker threads: pop a ready connection, flush its buffered
 //!      │  replies, reassemble frames from non-blocking reads, answer
 //!      ▼  at most ONE request, hand the connection back
-//! Catalog ── "default"  → collection (type-erased backend)
+//! Catalog ── "default"  → collection (one CloudServer)
 //!        ├── "products" → collection      searches: shared lock
-//!        └── "docs"     → collection      batches: backend fan-out
+//!        └── "docs"     → collection      batches: BatchExecutor fan-out
 //!                                         maintenance: exclusive lock
 //! ```
 //!
@@ -31,13 +31,11 @@
 //! One process serves a whole [`Catalog`] of named collections: every
 //! request frame routes to one collection — a legacy nameless (version-1)
 //! frame to `"default"`, a version-2 frame to the collection it names —
-//! and each collection is a type-erased
-//! [`ErasedBackend`](ppann_core::ErasedBackend), so a `CloudServer`
-//! collection serves next to a `ShardedServer` one with different
-//! dimensionalities. Per collection, the concurrency contract is the
-//! `SharedServer` one unchanged: concurrent `Search` frames under the
-//! shared lock, `Insert`/`Delete` serialized on the exclusive path.
-//! The single-backend [`serve`] entry point is a one-collection catalog.
+//! and each collection is one `CloudServer` behind a read-write lock, so
+//! collections of different dimensionalities serve side by side. Per
+//! collection, concurrent `Search` frames share the lock and
+//! `Insert`/`Delete` take it exclusively. The single-server [`serve`]
+//! entry point is a one-collection catalog.
 //!
 //! With [`ServiceConfig::data_dir`] set, the catalog is disk-backed and
 //! crash-safe: `CreateCollection` writes an empty `<name>.ppdb` snapshot
@@ -81,17 +79,16 @@ use crate::reactor::{deadline_after, Command, Conn, ConnState, Interest, Reactor
 use crate::replication::{self, FollowerCtx, ReplicationRole};
 use crate::stats::ServiceStats;
 use crate::wire::{
-    CollectionEntry, ErrorCode, Frame, WireName, COLLECTION_KIND_CLOUD, COLLECTION_KIND_SHARDED,
-    DEFAULT_MAX_FRAME,
+    CollectionEntry, ErrorCode, Frame, WireName, COLLECTION_KIND_CLOUD, DEFAULT_MAX_FRAME,
 };
 use bytes::BytesMut;
 use parking_lot::{Mutex, RwLock};
 use ppann_core::catalog::{validate_collection_name, Catalog, Collection};
 use ppann_core::wal::wal_path_for;
 use ppann_core::{
-    BackendInfo, BackendKind, DurabilityOptions, DurableCatalogError, EncryptedDatabase,
-    EncryptedQuery, FsyncPolicy, MaintainableServer, QueryBackend, QueryScratch, SearchParams,
-    SharedServer, DEFAULT_COLLECTION, DEFAULT_COMPACT_BYTES, SNAPSHOT_EXT,
+    BatchExecutor, CloudServer, DurabilityOptions, DurableCatalogError, EncryptedDatabase,
+    EncryptedQuery, FsyncPolicy, QueryScratch, SearchParams, DEFAULT_COLLECTION,
+    DEFAULT_COMPACT_BYTES, SNAPSHOT_EXT,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -524,31 +521,23 @@ enum Wake {
     Close,
 }
 
-/// Binds the listener and spawns the reactor plus worker pool over a
-/// single shared backend, served as the one-collection catalog
-/// `{"default"}` — the legacy entry point, byte-compatible with version-1
-/// clients. Returns once the socket is bound; serving continues in the
-/// background until a shutdown is requested.
-pub fn serve<S>(backend: SharedServer<S>, config: ServiceConfig) -> std::io::Result<ServiceHandle>
-where
-    S: QueryBackend
-        + MaintainableServer
-        + BackendInfo
-        + ppann_core::SnapshotSource
-        + Send
-        + Sync
-        + 'static,
-{
+/// Binds the listener and spawns the reactor plus worker pool over one
+/// server, served as the one-collection catalog `{"default"}` — the
+/// legacy entry point, byte-compatible with version-1 clients. Returns
+/// once the socket is bound; serving continues in the background until a
+/// shutdown is requested. [`ServiceHandle::catalog`] reaches the served
+/// collection in-process.
+pub fn serve(server: CloudServer, config: ServiceConfig) -> std::io::Result<ServiceHandle> {
     let catalog = Catalog::new();
     catalog
-        .create(DEFAULT_COLLECTION, Box::new(backend))
+        .create(DEFAULT_COLLECTION, server.into_database())
         .expect("fresh catalog cannot refuse the default collection");
     serve_catalog(Arc::new(catalog), config)
 }
 
 /// Binds the listener and spawns the reactor plus worker pool over a
-/// whole [`Catalog`]: one process, many named collections, heterogeneous
-/// dimensionalities and backend shapes. Nameless (version-1) frames route
+/// whole [`Catalog`]: one process, many named collections of any
+/// dimensionalities. Nameless (version-1) frames route
 /// to the `"default"` collection when the catalog holds one.
 pub fn serve_catalog(
     catalog: Arc<Catalog>,
@@ -980,11 +969,11 @@ fn decode_name(name: &[u8]) -> Result<&str, (ErrorCode, String)> {
     Ok(name)
 }
 
-/// Bounds on owner-supplied `CreateCollection` parameters: both arrive as
-/// attacker-reachable integers (behind the owner token) and both size
-/// server-side structures, so both are checked before anything is built.
+/// Bound on the owner-supplied `CreateCollection` dimensionality: it
+/// arrives as an attacker-reachable integer (behind the owner token) and
+/// sizes server-side structures, so it is checked before anything is
+/// built.
 const MAX_CREATE_DIM: u64 = 1 << 16;
-const MAX_CREATE_SHARDS: u16 = ppann_core::catalog::MAX_SHARDS as u16;
 
 /// The guarded body of `CreateCollection` — name reservation, snapshot
 /// write, stats-slot registration. The caller holds the lifecycle lock
@@ -997,7 +986,6 @@ fn create_collection_locked(
     config: &ServiceConfig,
     name: &str,
     dim: u64,
-    shards: u16,
 ) -> Result<(), (ErrorCode, String)> {
     // Stats slot first: a collection visible in the catalog must always
     // have one (`resolve_collection` treats a missing slot as a
@@ -1008,7 +996,7 @@ fn create_collection_locked(
     let Some(dir) = &config.data_dir else {
         // In-memory-only catalog: reserve the name, nothing to persist.
         return catalog
-            .create_sharded(name, db, shards as usize)
+            .create(name, db)
             .map(|_| ())
             .map_err(|e| (ErrorCode::BadRequest, e.to_string()));
     };
@@ -1018,7 +1006,7 @@ fn create_collection_locked(
     // back on any failure. A crash mid-create loses an un-acked
     // collection on restart, which is the safe direction (the owner
     // never saw an ack).
-    match catalog.create_durable(name, db, shards as usize, dir, config.durability()) {
+    match catalog.create_durable(name, db, dir, config.durability()) {
         Ok(_) => Ok(()),
         // Duplicate name — nothing was built, no file was touched, and
         // the slot belongs to the live collection.
@@ -1209,12 +1197,13 @@ fn serve_frame(
                 );
                 return ConnFate::Keep;
             }
-            // Hand the whole batch to the collection's erased backend: it
-            // fans the queries across `batch_threads` scoped workers
-            // (clamped to the batch size), each searching under the
-            // shared lock.
+            // Fan the batch across `batch_threads` scoped workers
+            // (clamped to the batch size), each query searching under the
+            // collection's shared lock.
             let started = Instant::now();
-            let outcomes = coll.search_many(&queries, &params, config.effective_batch_threads());
+            let outcomes = BatchExecutor::new(Arc::clone(&coll), config.effective_batch_threads())
+                .run(&queries, &params)
+                .outcomes;
             // Every query in the batch completes when its frame's reply
             // does, so each records the frame's service-layer wall time —
             // the same arrival-to-answer quantity the single-Search path
@@ -1379,11 +1368,8 @@ fn serve_frame(
                     name: info.name,
                     dim: info.dim as u64,
                     live: info.live as u64,
-                    kind: match info.kind {
-                        BackendKind::Cloud => COLLECTION_KIND_CLOUD,
-                        BackendKind::Sharded { .. } => COLLECTION_KIND_SHARDED,
-                    },
-                    shards: info.kind.shards(),
+                    kind: COLLECTION_KIND_CLOUD,
+                    shards: 1,
                 })
                 .collect();
             send(out, encode, stats, &Frame::ListCollectionsReply(entries));
@@ -1415,13 +1401,15 @@ fn serve_frame(
                 );
                 return ConnFate::Keep;
             }
-            if shards == 0 || shards > MAX_CREATE_SHARDS {
+            // Every collection is one index; the field stays on the
+            // wire for byte compatibility (PROTOCOL.md §3.17).
+            if shards != 1 {
                 send_error(
                     out,
                     encode,
                     stats,
                     ErrorCode::BadRequest,
-                    format!("shards must be in 1..={MAX_CREATE_SHARDS}, got {shards}"),
+                    format!("shards must be 1 (sharded collections are retired), got {shards}"),
                 );
                 return ConnFate::Keep;
             }
@@ -1431,7 +1419,7 @@ fn serve_frame(
             // reading cannot stall other lifecycle frames.
             let lifecycle_outcome = {
                 let _lifecycle = coll_stats.lifecycle.lock();
-                create_collection_locked(catalog, coll_stats, config, &name, dim, shards)
+                create_collection_locked(catalog, coll_stats, config, &name, dim)
             };
             match lifecycle_outcome {
                 Ok(()) => send(out, encode, stats, &Frame::CreateCollectionAck),

@@ -244,17 +244,17 @@ pub struct CollectionEntry {
     pub dim: u64,
     /// Live vector count at listing time.
     pub live: u64,
-    /// Backend shape code: 0 = single-index `CloudServer`, 1 =
-    /// `ShardedServer`. Other values are reserved (carried opaquely).
+    /// Server shape code: always [`COLLECTION_KIND_CLOUD`] from current
+    /// servers (1, the sharded shape, is retired). Other values are
+    /// carried opaquely.
     pub kind: u8,
-    /// Shard count (1 for a single-index backend).
+    /// Shard count: always 1 from current servers (kept for byte
+    /// compatibility).
     pub shards: u16,
 }
 
-/// [`CollectionEntry::kind`] for a single-index `CloudServer` backend.
+/// [`CollectionEntry::kind`] for a single-index `CloudServer` collection.
 pub const COLLECTION_KIND_CLOUD: u8 = 0;
-/// [`CollectionEntry::kind`] for a `ShardedServer` backend.
-pub const COLLECTION_KIND_SHARDED: u8 = 1;
 
 /// One protocol message, ready to frame.
 ///
@@ -306,8 +306,10 @@ pub enum Frame {
     /// drains in-flight connections after this is sent.
     ShutdownAck,
     /// Owner-authenticated creation of a fresh, empty collection of the
-    /// given dimensionality, served by `shards` shards (1 = single-index
-    /// `CloudServer`). The owner then populates it with [`Frame::Insert`]s.
+    /// given dimensionality. `shards` is retired and must be 1 (servers
+    /// answer anything else with [`ErrorCode::BadRequest`]); it stays on
+    /// the wire for byte compatibility. The owner then populates the
+    /// collection with [`Frame::Insert`]s.
     CreateCollection { token: u64, name: WireName, dim: u64, shards: u16 },
     /// Answer to a successful [`Frame::CreateCollection`].
     CreateCollectionAck,
@@ -1016,13 +1018,8 @@ mod tests {
                 kind: COLLECTION_KIND_CLOUD,
                 shards: 1,
             },
-            CollectionEntry {
-                name: "docs".into(),
-                dim: 960,
-                live: 5,
-                kind: COLLECTION_KIND_SHARDED,
-                shards: 4,
-            },
+            // Unknown kinds and shard counts are carried opaquely.
+            CollectionEntry { name: "docs".into(), dim: 960, live: 5, kind: 7, shards: 4 },
         ];
         match roundtrip(&Frame::ListCollectionsReply(entries.clone())) {
             Frame::ListCollectionsReply(back) => assert_eq!(back, entries),

@@ -4,7 +4,7 @@
 //! stalling the reactor, a worker, or any well-behaved client. Pinned
 //! as regressions for the readiness-driven server core.
 
-use ppann_core::{CloudServer, DataOwner, PpAnnParams, SearchParams, SharedServer};
+use ppann_core::{CloudServer, DataOwner, PpAnnParams, SearchParams};
 use ppann_linalg::{seeded_rng, uniform_vec};
 use ppann_service::wire::{tag, HEADER_LEN, MAGIC, PROTOCOL_VERSION};
 use ppann_service::{serve, Frame, ServiceClient, ServiceConfig, ServiceHandle};
@@ -20,8 +20,8 @@ fn spawn_service(seed: u64, config: ServiceConfig) -> (Vec<Vec<f64>>, DataOwner,
     let mut rng = seeded_rng(seed);
     let data: Vec<Vec<f64>> = (0..N).map(|_| uniform_vec(&mut rng, DIM, -1.0, 1.0)).collect();
     let owner = DataOwner::setup(PpAnnParams::new(DIM).with_seed(seed).with_beta(0.0), &data);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
-    let handle = serve(shared, config).unwrap();
+    let server = CloudServer::new(owner.outsource(&data));
+    let handle = serve(server, config).unwrap();
     (data, owner, handle)
 }
 

@@ -106,14 +106,14 @@ fn captured_search_frame_holds_only_ciphertext_and_knobs() {
 
 #[test]
 fn search_result_frame_holds_only_ids_distances_and_cost() {
-    use ppann_core::{CloudServer, SharedServer};
+    use ppann_core::CloudServer;
     use ppann_service::{serve, ServiceConfig};
 
     let mut rng = seeded_rng(4343);
     let data: Vec<Vec<f64>> = (0..80).map(|_| uniform_vec(&mut rng, DIM, -1.0, 1.0)).collect();
     let owner = DataOwner::setup(PpAnnParams::new(DIM).with_seed(12).with_beta(0.0), &data);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
-    let handle = serve(shared, ServiceConfig::loopback()).unwrap();
+    let server = CloudServer::new(owner.outsource(&data));
+    let handle = serve(server, ServiceConfig::loopback()).unwrap();
 
     // Speak the protocol manually so the reply bytes can be inspected.
     let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();

@@ -1,9 +1,8 @@
 //! Loopback end-to-end: the remote path must be indistinguishable from
-//! calling the backend in-process — identical ids and bit-identical
-//! encrypted-space distances on a seeded workload, for both the paper's
-//! `CloudServer` and the multi-core `ShardedServer` behind the service.
+//! calling the `CloudServer` in-process — identical ids and bit-identical
+//! encrypted-space distances on a seeded workload.
 
-use ppann_core::{CloudServer, DataOwner, PpAnnParams, SearchParams, ShardedServer, SharedServer};
+use ppann_core::{CloudServer, DataOwner, PpAnnParams, SearchParams};
 use ppann_linalg::{seeded_rng, uniform_vec};
 use ppann_service::{serve, ClientError, ServiceClient, ServiceConfig};
 
@@ -15,8 +14,6 @@ const TOKEN: u64 = 0xC0FFEE;
 fn setup(seed: u64) -> (Vec<Vec<f64>>, DataOwner) {
     let mut rng = seeded_rng(seed);
     let data: Vec<Vec<f64>> = (0..N).map(|_| uniform_vec(&mut rng, DIM, -1.0, 1.0)).collect();
-    // β = 0 so ShardedServer parity with CloudServer is exact (the same
-    // precondition the in-process shard_parity tests document).
     let owner = DataOwner::setup(PpAnnParams::new(DIM).with_seed(seed).with_beta(0.0), &data);
     (data, owner)
 }
@@ -50,8 +47,8 @@ fn assert_remote_matches_local(client: &mut ServiceClient, owner: &DataOwner, da
 #[test]
 fn remote_cloud_server_matches_in_process() {
     let (data, owner) = setup(9001);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
-    let handle = serve(shared, ServiceConfig::loopback()).unwrap();
+    let server = CloudServer::new(owner.outsource(&data));
+    let handle = serve(server, ServiceConfig::loopback()).unwrap();
     let mut client = ServiceClient::connect(handle.local_addr(), Some(DIM)).unwrap();
     assert_eq!(client.server_dim(), DIM);
     assert_eq!(client.server_live(), N as u64);
@@ -61,23 +58,11 @@ fn remote_cloud_server_matches_in_process() {
 }
 
 #[test]
-fn remote_sharded_server_matches_in_process_cloud_server() {
-    let (data, owner) = setup(9002);
-    // The acceptance configuration: four shards behind the service.
-    let sharded = ShardedServer::from_database(owner.outsource(&data), 4);
-    let handle = serve(SharedServer::new(sharded), ServiceConfig::loopback()).unwrap();
-    let mut client = ServiceClient::connect(handle.local_addr(), Some(DIM)).unwrap();
-    assert_remote_matches_local(&mut client, &owner, &data);
-    handle.request_stop();
-    handle.join();
-}
-
-#[test]
 fn remote_maintenance_roundtrip() {
     let (data, owner) = setup(9003);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
+    let server = CloudServer::new(owner.outsource(&data));
     let config = ServiceConfig::loopback().with_owner_token(TOKEN);
-    let handle = serve(shared, config).unwrap();
+    let handle = serve(server, config).unwrap();
     let mut client = ServiceClient::connect(handle.local_addr(), None).unwrap();
 
     // Insert a far-out vector, find it remotely, then delete it remotely.
@@ -108,9 +93,9 @@ fn remote_maintenance_roundtrip() {
 #[test]
 fn stats_and_graceful_shutdown_over_the_wire() {
     let (data, owner) = setup(9004);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
+    let server = CloudServer::new(owner.outsource(&data));
     let config = ServiceConfig::loopback().with_owner_token(TOKEN);
-    let handle = serve(shared, config).unwrap();
+    let handle = serve(server, config).unwrap();
     let addr = handle.local_addr();
 
     let mut client = ServiceClient::connect(addr, Some(DIM)).unwrap();
@@ -138,13 +123,12 @@ fn stats_and_graceful_shutdown_over_the_wire() {
 
 /// One `SearchBatch` frame must answer exactly like the same queries sent
 /// one `Search` frame at a time — same ids, bit-identical encrypted
-/// distances, request order preserved — for both server shapes, including
-/// a batch wider than the server's fan-out and one smaller than it.
+/// distances, request order preserved — including a batch wider than the server's fan-out and one smaller than it.
 #[test]
 fn batched_search_matches_sequential_remote() {
     let (data, owner) = setup(9006);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
-    let handle = serve(shared, ServiceConfig::loopback().with_workers(3)).unwrap();
+    let server = CloudServer::new(owner.outsource(&data));
+    let handle = serve(server, ServiceConfig::loopback().with_workers(3)).unwrap();
     let mut client = ServiceClient::connect(handle.local_addr(), Some(DIM)).unwrap();
 
     let mut user = owner.authorize_user();
@@ -173,39 +157,14 @@ fn batched_search_matches_sequential_remote() {
     handle.join();
 }
 
-/// The sharded backend behind a `SearchBatch` frame composes batch-level
-/// and intra-query parallelism and still answers bit-identically.
-#[test]
-fn batched_search_on_sharded_backend() {
-    let (data, owner) = setup(9007);
-    let local = CloudServer::new(owner.outsource(&data));
-    let sharded = ShardedServer::from_database(owner.outsource(&data), 3);
-    let handle = serve(SharedServer::new(sharded), ServiceConfig::loopback()).unwrap();
-    let mut client = ServiceClient::connect(handle.local_addr(), Some(DIM)).unwrap();
-
-    let mut local_user = owner.authorize_user();
-    let mut remote_user = owner.authorize_user();
-    let local_queries: Vec<_> =
-        (0..10).map(|i| local_user.encrypt_query(&data[i * 3], K)).collect();
-    let remote_queries: Vec<_> =
-        (0..10).map(|i| remote_user.encrypt_query(&data[i * 3], K)).collect();
-    let outs = client.search_batch(&remote_queries, &params()).unwrap();
-    for (qi, (got, q)) in outs.iter().zip(&local_queries).enumerate() {
-        let expect = local.search(q, &params());
-        assert_eq!(got.ids, expect.ids, "query {qi}: ids diverge");
-    }
-    handle.request_stop();
-    handle.join();
-}
-
 /// Pipelined single-frame search pairs replies with requests
 /// positionally; outcomes must match the lockstep loop exactly for any
 /// window, including windows larger than the query count.
 #[test]
 fn pipelined_search_matches_sequential_remote() {
     let (data, owner) = setup(9008);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
-    let handle = serve(shared, ServiceConfig::loopback().with_workers(2)).unwrap();
+    let server = CloudServer::new(owner.outsource(&data));
+    let handle = serve(server, ServiceConfig::loopback().with_workers(2)).unwrap();
     let mut client = ServiceClient::connect(handle.local_addr(), Some(DIM)).unwrap();
 
     let mut user = owner.authorize_user();
@@ -232,10 +191,10 @@ fn pipelined_search_matches_sequential_remote() {
 #[test]
 fn pipelined_error_poisons_but_server_survives() {
     let (data, owner) = setup(9009);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
+    let server = CloudServer::new(owner.outsource(&data));
     // High enough for params() (ef_search 80), far below the bad frame's.
     let config = ServiceConfig::loopback().with_max_search_k(256);
-    let handle = serve(shared, config).unwrap();
+    let handle = serve(server, config).unwrap();
     let mut client = ServiceClient::connect(handle.local_addr(), Some(DIM)).unwrap();
 
     let mut user = owner.authorize_user();
@@ -263,9 +222,9 @@ fn pipelined_error_poisons_but_server_survives() {
 #[test]
 fn shutdown_without_token_is_refused() {
     let (data, owner) = setup(9005);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
+    let server = CloudServer::new(owner.outsource(&data));
     // No owner token configured: maintenance and shutdown are disabled.
-    let handle = serve(shared, ServiceConfig::loopback()).unwrap();
+    let handle = serve(server, ServiceConfig::loopback()).unwrap();
     let mut client = ServiceClient::connect(handle.local_addr(), None).unwrap();
     match client.shutdown(0) {
         Err(ClientError::Remote { code, .. }) => {

@@ -1,21 +1,20 @@
 //! Multi-collection end-to-end: one `ppann-service` process serving a
-//! whole catalog — collections with different dimensionalities and
-//! different backend shapes side by side — while legacy version-1 frames
-//! and v1 snapshots keep working unchanged. This is the acceptance suite
-//! of the namespaced protocol: routing, parity with the in-process
-//! backends, malformed/unknown names, per-collection stats, the
+//! whole catalog — collections with different dimensionalities side by
+//! side — while legacy version-1 frames and v1 snapshots keep working
+//! unchanged. This is the acceptance suite of the namespaced protocol:
+//! routing, parity with in-process `CloudServer`s, malformed/unknown
+//! names, per-collection stats, the
 //! owner-driven collection lifecycle and its `--data-dir` persistence.
 
 use ppann_core::catalog::Catalog;
 use ppann_core::{
     save_collection_snapshot, CloudServer, CollectionMeta, DataOwner, PpAnnParams, SearchParams,
-    ShardedServer, SharedServer,
 };
 use ppann_linalg::{seeded_rng, uniform_vec};
 use ppann_service::wire::{tag, HEADER_LEN, MAGIC};
 use ppann_service::{
     serve_catalog, ClientError, ErrorCode, Frame, ServiceClient, ServiceConfig,
-    COLLECTION_KIND_CLOUD, COLLECTION_KIND_SHARDED,
+    COLLECTION_KIND_CLOUD,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -26,7 +25,6 @@ const TOKEN: u64 = 0xBEEF;
 fn make_owner(n: usize, dim: usize, seed: u64) -> (Vec<Vec<f64>>, DataOwner) {
     let mut rng = seeded_rng(seed);
     let data: Vec<Vec<f64>> = (0..n).map(|_| uniform_vec(&mut rng, dim, -1.0, 1.0)).collect();
-    // β = 0 keeps sharded-vs-cloud parity bit-exact (shard_parity tests).
     let owner = DataOwner::setup(PpAnnParams::new(dim).with_seed(seed).with_beta(0.0), &data);
     (data, owner)
 }
@@ -38,30 +36,22 @@ fn params() -> SearchParams {
 /// One dataset + owner pair per collection.
 type OwnedData = (Vec<Vec<f64>>, DataOwner);
 
-/// A catalog with the acceptance shape: `"default"` is a dim-6
-/// `CloudServer`, `"docs"` a dim-10 three-shard `ShardedServer`.
+/// A catalog with the acceptance shape: `"default"` holds dim-6 vectors,
+/// `"docs"` dim-10 ones.
 fn two_collection_catalog() -> (OwnedData, OwnedData, Arc<Catalog>) {
     let (data_a, owner_a) = make_owner(200, 6, 7101);
     let (data_b, owner_b) = make_owner(260, 10, 7102);
     let catalog = Catalog::new();
-    catalog.create_cloud("default", owner_a.outsource(&data_a)).unwrap();
-    catalog
-        .create(
-            "docs",
-            Box::new(SharedServer::new(ShardedServer::from_database(
-                owner_b.outsource(&data_b),
-                3,
-            ))),
-        )
-        .unwrap();
+    catalog.create("default", owner_a.outsource(&data_a)).unwrap();
+    catalog.create("docs", owner_b.outsource(&data_b)).unwrap();
     ((data_a, owner_a), (data_b, owner_b), Arc::new(catalog))
 }
 
-/// The acceptance criterion: two collections with different dims and
-/// different backend shapes served concurrently by one process, each
-/// answering bit-identically to its in-process reference.
+/// The acceptance criterion: two collections with different dims served
+/// concurrently by one process, each answering bit-identically to its
+/// in-process reference.
 #[test]
-fn two_shapes_two_dims_served_concurrently() {
+fn two_collections_two_dims_served_concurrently() {
     let ((data_a, owner_a), (data_b, owner_b), catalog) = two_collection_catalog();
     let handle = serve_catalog(catalog, ServiceConfig::loopback().with_workers(4)).unwrap();
     let addr = handle.local_addr();
@@ -70,9 +60,9 @@ fn two_shapes_two_dims_served_concurrently() {
     let local_b = CloudServer::new(owner_b.outsource(&data_b));
 
     std::thread::scope(|scope| {
-        // Thread 1 hammers the default (cloud, dim 6) collection with
-        // legacy nameless frames; thread 2 the docs (sharded, dim 10)
-        // collection with namespaced frames — concurrently.
+        // Thread 1 hammers the default (dim 6) collection with legacy
+        // nameless frames; thread 2 the docs (dim 10) collection with
+        // namespaced frames — concurrently.
         scope.spawn(|| {
             let mut client = ServiceClient::connect(addr, Some(6)).unwrap();
             let mut local_user = owner_a.authorize_user();
@@ -102,7 +92,7 @@ fn two_shapes_two_dims_served_concurrently() {
         });
     });
 
-    // The listing reports both shapes and dims.
+    // The listing reports both dims, each as one single-index server.
     let mut client = ServiceClient::connect(addr, None).unwrap();
     let entries = client.list_collections().unwrap();
     assert_eq!(entries.len(), 2);
@@ -112,8 +102,8 @@ fn two_shapes_two_dims_served_concurrently() {
     assert_eq!(entries[0].shards, 1);
     assert_eq!(entries[1].name, "docs");
     assert_eq!(entries[1].dim, 10);
-    assert_eq!(entries[1].kind, COLLECTION_KIND_SHARDED);
-    assert_eq!(entries[1].shards, 3);
+    assert_eq!(entries[1].kind, COLLECTION_KIND_CLOUD);
+    assert_eq!(entries[1].shards, 1);
     assert_eq!(handle.live(), 200 + 260);
     handle.request_stop();
     handle.join();
@@ -125,7 +115,7 @@ fn two_shapes_two_dims_served_concurrently() {
 fn namespaced_matches_legacy_single_index_search() {
     let (data, owner) = make_owner(150, 8, 7103);
     let catalog = Catalog::new();
-    catalog.create_cloud("default", owner.outsource(&data)).unwrap();
+    catalog.create("default", owner.outsource(&data)).unwrap();
     let handle = serve_catalog(Arc::new(catalog), ServiceConfig::loopback()).unwrap();
     let mut client = ServiceClient::connect(handle.local_addr(), Some(8)).unwrap();
 
@@ -167,7 +157,7 @@ fn namespaced_matches_legacy_single_index_search() {
 fn unknown_collection_has_its_own_error_code() {
     let (data, owner) = make_owner(80, 4, 7104);
     let catalog = Catalog::new();
-    catalog.create_cloud("default", owner.outsource(&data)).unwrap();
+    catalog.create("default", owner.outsource(&data)).unwrap();
     let handle =
         serve_catalog(Arc::new(catalog), ServiceConfig::loopback().with_owner_token(TOKEN))
             .unwrap();
@@ -203,7 +193,7 @@ fn unknown_collection_has_its_own_error_code() {
 fn malformed_names_are_bad_request_and_keep_the_connection() {
     let (data, owner) = make_owner(80, 4, 7105);
     let catalog = Catalog::new();
-    catalog.create_cloud("default", owner.outsource(&data)).unwrap();
+    catalog.create("default", owner.outsource(&data)).unwrap();
     let handle = serve_catalog(Arc::new(catalog), ServiceConfig::loopback()).unwrap();
 
     let mut user = owner.authorize_user();
@@ -239,6 +229,42 @@ fn malformed_names_are_bad_request_and_keep_the_connection() {
     handle.join();
 }
 
+/// Sharded collections are retired: a raw `CreateCollection` frame asking
+/// for any shard count but 1 is a `BadRequest` that creates nothing and
+/// keeps the connection open.
+#[test]
+fn create_with_shards_other_than_one_is_bad_request() {
+    let (data, owner) = make_owner(40, 4, 7109);
+    let catalog = Catalog::new();
+    catalog.create("default", owner.outsource(&data)).unwrap();
+    let handle =
+        serve_catalog(Arc::new(catalog), ServiceConfig::loopback().with_owner_token(TOKEN))
+            .unwrap();
+
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.write_all(&Frame::Hello { dim: 4 }.encode()).unwrap();
+    read_raw_reply(&mut stream).expect("HelloAck");
+    for shards in [0u16, 2, 64, u16::MAX] {
+        let frame =
+            Frame::CreateCollection { token: TOKEN, name: b"fresh".to_vec(), dim: 4, shards };
+        stream.write_all(&frame.encode()).unwrap();
+        let (reply_tag, payload) = read_raw_reply(&mut stream).expect("error reply");
+        assert_eq!(reply_tag, tag::ERROR, "shards={shards}: expected an Error frame");
+        let code = u16::from_le_bytes([payload[0], payload[1]]);
+        assert_eq!(code, ErrorCode::BadRequest as u16, "shards={shards}: wrong code");
+    }
+    // Nothing was created, and the same connection still creates with 1.
+    assert!(handle.catalog().get("fresh").is_none());
+    let frame =
+        Frame::CreateCollection { token: TOKEN, name: b"fresh".to_vec(), dim: 4, shards: 1 };
+    stream.write_all(&frame.encode()).unwrap();
+    let (reply_tag, _) = read_raw_reply(&mut stream).expect("create reply");
+    assert_eq!(reply_tag, tag::CREATE_COLLECTION_ACK, "connection must stay usable");
+    assert_eq!(handle.catalog().get("fresh").unwrap().dim(), 4);
+    handle.request_stop();
+    handle.join();
+}
+
 /// The owner-driven lifecycle over the wire: create an empty collection,
 /// populate it with encrypted inserts, search it, read its stats, drop
 /// it — with authorization enforced at each mutating step.
@@ -246,28 +272,28 @@ fn malformed_names_are_bad_request_and_keep_the_connection() {
 fn create_insert_search_drop_lifecycle() {
     let (data, owner) = make_owner(60, 4, 7106);
     let catalog = Catalog::new();
-    catalog.create_cloud("default", owner.outsource(&data)).unwrap();
+    catalog.create("default", owner.outsource(&data)).unwrap();
     let handle =
         serve_catalog(Arc::new(catalog), ServiceConfig::loopback().with_owner_token(TOKEN))
             .unwrap();
     let mut client = ServiceClient::connect(handle.local_addr(), None).unwrap();
 
     // Unauthorized create/drop are refused.
-    match client.create_collection(TOKEN + 1, "fresh", 4, 1).unwrap_err() {
+    match client.create_collection(TOKEN + 1, "fresh", 4).unwrap_err() {
         ClientError::Remote { code, .. } => assert_eq!(code, ErrorCode::Unauthorized),
         other => panic!("expected Unauthorized, got {other:?}"),
     }
     // Bad parameters are refused before anything is built.
-    for (name, dim, shards) in [("fresh", 0usize, 1u16), ("fresh", 4, 0), ("fr esh", 4, 1)] {
-        match client.create_collection(TOKEN, name, dim, shards).unwrap_err() {
+    for (name, dim) in [("fresh", 0usize), ("fr esh", 4)] {
+        match client.create_collection(TOKEN, name, dim).unwrap_err() {
             ClientError::Remote { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
             other => panic!("expected BadRequest, got {other:?}"),
         }
     }
 
-    client.create_collection(TOKEN, "fresh", 4, 2).unwrap();
+    client.create_collection(TOKEN, "fresh", 4).unwrap();
     // Duplicate create is refused.
-    match client.create_collection(TOKEN, "fresh", 4, 1).unwrap_err() {
+    match client.create_collection(TOKEN, "fresh", 4).unwrap_err() {
         ClientError::Remote { code, message } => {
             assert_eq!(code, ErrorCode::BadRequest);
             assert!(message.contains("exists"), "{message}");
@@ -331,12 +357,12 @@ fn data_dir_persists_create_and_drop_across_restarts() {
     let dir = std::env::temp_dir().join(format!("ppanns_svc_datadir_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let (data_a, owner_a) = make_owner(50, 4, 7107);
-    // A v1 snapshot (named by its file stem) and a v2 sharded snapshot.
+    // A v1 snapshot (named by its file stem) and a v2 snapshot.
     owner_a.outsource(&data_a).save_to(&dir.join("legacy.ppdb")).unwrap();
     let (data_b, owner_b) = make_owner(70, 6, 7108);
     save_collection_snapshot(
         &dir.join("wide.ppdb"),
-        &CollectionMeta { name: "wide".into(), shards: 2 },
+        &CollectionMeta { name: "wide".into(), shards: 1 },
         &owner_b.outsource(&data_b),
     )
     .unwrap();
@@ -356,7 +382,7 @@ fn data_dir_persists_create_and_drop_across_restarts() {
         client.list_collections().unwrap().into_iter().map(|e| e.name).collect();
     assert_eq!(names, vec!["legacy".to_string(), "wide".to_string()]);
 
-    // Both discovered collections answer (v1 → cloud, v2 → 2 shards).
+    // Both discovered collections answer.
     let mut user_a = owner_a.authorize_user();
     let out = client.search_in("legacy", &user_a.encrypt_query(&data_a[2], 2), &params()).unwrap();
     assert_eq!(out.ids[0], 2);
@@ -369,7 +395,7 @@ fn data_dir_persists_create_and_drop_across_restarts() {
     // writing before the name check would silently empty `wide.ppdb` and
     // lose its 70 vectors at the next restart.
     let wide_bytes_before = std::fs::read(dir.join("wide.ppdb")).unwrap();
-    match client.create_collection(TOKEN, "wide", 6, 1).unwrap_err() {
+    match client.create_collection(TOKEN, "wide", 6).unwrap_err() {
         ClientError::Remote { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
         other => panic!("duplicate create must be refused, got {other:?}"),
     }
@@ -380,7 +406,7 @@ fn data_dir_persists_create_and_drop_across_restarts() {
     );
 
     // Create lands on disk; drop removes its file.
-    client.create_collection(TOKEN, "scratch", 8, 1).unwrap();
+    client.create_collection(TOKEN, "scratch", 8).unwrap();
     assert!(dir.join("scratch.ppdb").exists(), "create must write the snapshot");
     client.drop_collection(TOKEN, "legacy").unwrap();
     assert!(!dir.join("legacy.ppdb").exists(), "drop must delete the snapshot");
@@ -408,7 +434,7 @@ fn data_dir_persists_create_and_drop_across_restarts() {
 fn catalog_without_default_collection() {
     let (data, owner) = make_owner(40, 5, 7109);
     let catalog = Catalog::new();
-    catalog.create_cloud("only", owner.outsource(&data)).unwrap();
+    catalog.create("only", owner.outsource(&data)).unwrap();
     let handle = serve_catalog(Arc::new(catalog), ServiceConfig::loopback()).unwrap();
 
     match ServiceClient::connect(handle.local_addr(), Some(5)) {

@@ -260,7 +260,7 @@ fn documented_field_values_match() {
             assert_eq!(token, 7);
             assert_eq!(name, b"vault".to_vec());
             assert_eq!(dim, 128);
-            assert_eq!(shards, 4);
+            assert_eq!(shards, 1);
         }
         other => panic!("wrong frame {other:?}"),
     }
@@ -326,8 +326,8 @@ fn documented_field_values_match() {
             assert_eq!(entries[1].name, "vault");
             assert_eq!(entries[1].dim, 128);
             assert_eq!(entries[1].live, 42);
-            assert_eq!(entries[1].kind, 1);
-            assert_eq!(entries[1].shards, 4);
+            assert_eq!(entries[1].kind, 0);
+            assert_eq!(entries[1].shards, 1);
         }
         other => panic!("wrong frame {other:?}"),
     }

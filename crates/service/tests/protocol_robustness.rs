@@ -2,7 +2,7 @@
 //! truncations, oversized frames, wrong tokens — none of it may wedge the
 //! service or poison the backend for well-behaved clients.
 
-use ppann_core::{CloudServer, DataOwner, PpAnnParams, SearchParams, SharedServer};
+use ppann_core::{CloudServer, DataOwner, PpAnnParams, SearchParams};
 use ppann_linalg::{seeded_rng, uniform_vec};
 use ppann_service::wire::{tag, HEADER_LEN, MAGIC, PROTOCOL_VERSION};
 use ppann_service::{
@@ -19,9 +19,9 @@ fn spawn_service(seed: u64) -> (Vec<Vec<f64>>, DataOwner, ServiceHandle) {
     let mut rng = seeded_rng(seed);
     let data: Vec<Vec<f64>> = (0..N).map(|_| uniform_vec(&mut rng, DIM, -1.0, 1.0)).collect();
     let owner = DataOwner::setup(PpAnnParams::new(DIM).with_seed(seed).with_beta(0.0), &data);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
+    let server = CloudServer::new(owner.outsource(&data));
     let config = ServiceConfig::loopback().with_owner_token(TOKEN).with_max_frame(64 * 1024);
-    let handle = serve(shared, config).unwrap();
+    let handle = serve(server, config).unwrap();
     (data, owner, handle)
 }
 
@@ -208,13 +208,13 @@ fn silent_connection_is_reclaimed_by_the_handshake_deadline() {
     let mut rng = seeded_rng(510);
     let data: Vec<Vec<f64>> = (0..50).map(|_| uniform_vec(&mut rng, DIM, -1.0, 1.0)).collect();
     let owner = DataOwner::setup(PpAnnParams::new(DIM).with_seed(510).with_beta(0.0), &data);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
+    let server = CloudServer::new(owner.outsource(&data));
     // One worker and a tight handshake deadline: a silent peer would own
     // the whole service if the deadline did not reclaim the worker.
     let config = ServiceConfig::loopback()
         .with_workers(1)
         .with_timeouts(std::time::Duration::from_millis(200), std::time::Duration::from_secs(120));
-    let handle = serve(shared, config).unwrap();
+    let handle = serve(server, config).unwrap();
 
     let mut silent = TcpStream::connect(handle.local_addr()).unwrap();
     // The server must hang up on the silent peer within the deadline...
@@ -276,12 +276,12 @@ fn parked_keepalive_connections_do_not_starve_other_clients() {
     let mut rng = seeded_rng(513);
     let data: Vec<Vec<f64>> = (0..50).map(|_| uniform_vec(&mut rng, DIM, -1.0, 1.0)).collect();
     let owner = DataOwner::setup(PpAnnParams::new(DIM).with_seed(513).with_beta(0.0), &data);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
+    let server = CloudServer::new(owner.outsource(&data));
     // A single worker, long idle timeout. If a worker were owned by one
     // connection until close/idle (the old design), the parked client
     // below would pin it for the full 120 s and starve everyone else.
     let config = ServiceConfig::loopback().with_workers(1);
-    let handle = serve(shared, config).unwrap();
+    let handle = serve(server, config).unwrap();
 
     // Handshake fully, then go quiet — a legitimate keep-alive client.
     let mut parked = ServiceClient::connect(handle.local_addr(), Some(DIM)).unwrap();
@@ -456,9 +456,9 @@ fn over_limit_batch_is_bad_request() {
     let mut rng = seeded_rng(514);
     let data: Vec<Vec<f64>> = (0..N).map(|_| uniform_vec(&mut rng, DIM, -1.0, 1.0)).collect();
     let owner = DataOwner::setup(PpAnnParams::new(DIM).with_seed(514).with_beta(0.0), &data);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
+    let server = CloudServer::new(owner.outsource(&data));
     let config = ServiceConfig::loopback().with_max_batch(4);
-    let handle = serve(shared, config).unwrap();
+    let handle = serve(server, config).unwrap();
     let mut client = ServiceClient::connect(handle.local_addr(), Some(DIM)).unwrap();
 
     let mut user = owner.authorize_user();
@@ -498,10 +498,10 @@ fn batch_with_oversized_reply_is_refused_before_searching() {
     let mut rng = seeded_rng(515);
     let data: Vec<Vec<f64>> = (0..N).map(|_| uniform_vec(&mut rng, DIM, -1.0, 1.0)).collect();
     let owner = DataOwner::setup(PpAnnParams::new(DIM).with_seed(515).with_beta(0.0), &data);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
+    let server = CloudServer::new(owner.outsource(&data));
     // Request frames stay small; replies of 3 × k=200 results would not.
     let config = ServiceConfig::loopback().with_max_frame(4096);
-    let handle = serve(shared, config).unwrap();
+    let handle = serve(server, config).unwrap();
     let mut client = ServiceClient::connect(handle.local_addr(), Some(DIM)).unwrap();
 
     let mut user = owner.authorize_user();

@@ -8,7 +8,7 @@
 //! which fits a 1024-fd ulimit; run with 1024 locally for the full
 //! ISSUE-scale population).
 
-use ppann_core::{CloudServer, DataOwner, PpAnnParams, SearchParams, SharedServer};
+use ppann_core::{CloudServer, DataOwner, PpAnnParams, SearchParams};
 use ppann_linalg::{seeded_rng, uniform_vec};
 use ppann_service::wire::{tag, HEADER_LEN, MAGIC};
 use ppann_service::{serve, Frame, ServiceClient, ServiceConfig};
@@ -51,12 +51,12 @@ fn idle_population_does_not_starve_active_clients() {
     let mut rng = seeded_rng(701);
     let data: Vec<Vec<f64>> = (0..N).map(|_| uniform_vec(&mut rng, DIM, -1.0, 1.0)).collect();
     let owner = DataOwner::setup(PpAnnParams::new(DIM).with_seed(701).with_beta(0.0), &data);
-    let shared = SharedServer::new(CloudServer::new(owner.outsource(&data)));
+    let server = CloudServer::new(owner.outsource(&data));
     let config = ServiceConfig::loopback()
         .with_workers(4)
         .with_owner_token(TOKEN)
         .with_max_connections(idlers_target + 64);
-    let handle = serve(shared, config).unwrap();
+    let handle = serve(server, config).unwrap();
     let addr = handle.local_addr();
 
     // Park the idle population. Every one of these costs the service a

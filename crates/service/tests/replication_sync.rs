@@ -85,7 +85,7 @@ fn follower_bootstraps_tails_and_serves_reads() {
     let dir = temp_dir("tail");
     let primary = spawn_primary(&dir, ppann_core::DEFAULT_COMPACT_BYTES);
     let mut owner_client = ServiceClient::connect(primary.local_addr(), None).unwrap();
-    owner_client.create_collection(TOKEN, COLL, DIM, 1).unwrap();
+    owner_client.create_collection(TOKEN, COLL, DIM).unwrap();
 
     let (data, owner) = make_owner(20, 4242);
     for (i, v) in data.iter().take(12).enumerate() {
@@ -136,7 +136,7 @@ fn followers_reject_mutations_until_promoted() {
     let dir = temp_dir("promote");
     let primary = spawn_primary(&dir, ppann_core::DEFAULT_COMPACT_BYTES);
     let mut owner_client = ServiceClient::connect(primary.local_addr(), None).unwrap();
-    owner_client.create_collection(TOKEN, COLL, DIM, 1).unwrap();
+    owner_client.create_collection(TOKEN, COLL, DIM).unwrap();
     let (data, owner) = make_owner(4, 777);
     for (i, v) in data.iter().take(3).enumerate() {
         let (c_sap, c_dce) = owner.encrypt_for_insert(v, i as u64);
@@ -161,7 +161,7 @@ fn followers_reject_mutations_until_promoted() {
         ClientError::Remote { code, .. } => assert_eq!(code, ErrorCode::NotPrimary),
         other => panic!("expected NotPrimary, got {other:?}"),
     }
-    match fclient.create_collection(TOKEN, "fresh", DIM, 1).unwrap_err() {
+    match fclient.create_collection(TOKEN, "fresh", DIM).unwrap_err() {
         ClientError::Remote { code, .. } => assert_eq!(code, ErrorCode::NotPrimary),
         other => panic!("expected NotPrimary, got {other:?}"),
     }
@@ -199,7 +199,7 @@ fn compaction_forces_a_clean_rebootstrap() {
     // path, and a hammer for SnapshotChunk re-bootstraps.
     let primary = spawn_primary(&dir, 1);
     let mut owner_client = ServiceClient::connect(primary.local_addr(), None).unwrap();
-    owner_client.create_collection(TOKEN, COLL, DIM, 1).unwrap();
+    owner_client.create_collection(TOKEN, COLL, DIM).unwrap();
     let (data, owner) = make_owner(16, 99);
     for (i, v) in data.iter().take(8).enumerate() {
         let (c_sap, c_dce) = owner.encrypt_for_insert(v, i as u64);
@@ -231,7 +231,7 @@ fn upstream_drop_propagates_to_the_follower() {
     let dir = temp_dir("drop");
     let primary = spawn_primary(&dir, ppann_core::DEFAULT_COMPACT_BYTES);
     let mut owner_client = ServiceClient::connect(primary.local_addr(), None).unwrap();
-    owner_client.create_collection(TOKEN, COLL, DIM, 1).unwrap();
+    owner_client.create_collection(TOKEN, COLL, DIM).unwrap();
     let (data, owner) = make_owner(3, 5);
     for (i, v) in data.iter().enumerate() {
         let (c_sap, c_dce) = owner.encrypt_for_insert(v, i as u64);
@@ -266,7 +266,7 @@ fn replica_set_reads_fail_over_from_a_hung_node_within_one_timeout() {
     // A healthy single node with a searchable default collection.
     let (data, owner) = make_owner(30, 31);
     let catalog = Catalog::new();
-    catalog.create_cloud("default", owner.outsource(&data)).unwrap();
+    catalog.create("default", owner.outsource(&data)).unwrap();
     let healthy = serve_catalog(Arc::new(catalog), ServiceConfig::loopback()).unwrap();
 
     let call_timeout = Duration::from_millis(300);

@@ -9,7 +9,7 @@
 //! cargo run --release --example secure_cloud_service
 //! ```
 
-use ppanns::core::{CloudServer, DataOwner, PpAnnParams, SearchParams, SharedServer};
+use ppanns::core::{CloudServer, DataOwner, PpAnnParams, SearchParams};
 use ppanns::datasets::{DatasetProfile, Workload};
 use ppanns::service::{serve, ServiceClient, ServiceConfig};
 use std::thread;
@@ -31,9 +31,9 @@ fn main() {
 
     // --- Cloud: serves the ciphertexts over TCP (port 0 = OS-assigned).
     // The cloud process holds no keys — only what the owner shipped.
-    let shared = SharedServer::new(CloudServer::new(encrypted_db));
+    let server = CloudServer::new(encrypted_db);
     let config = ServiceConfig::loopback().with_owner_token(OWNER_TOKEN);
-    let handle = serve(shared, config).expect("bind loopback");
+    let handle = serve(server, config).expect("bind loopback");
     let addr = handle.local_addr();
     println!("[cloud ] listening on {addr}");
 
@@ -78,7 +78,7 @@ fn main() {
     // populates it with a pre-encrypted vector, and retires it — the
     // multi-collection catalog lifecycle (PROTOCOL.md §3.17–§3.22).
     owner_client
-        .create_collection(OWNER_TOKEN, "staging", workload.dim(), 1)
+        .create_collection(OWNER_TOKEN, "staging", workload.dim())
         .expect("create collection");
     let (c_sap, c_dce) = owner.encrypt_for_insert(&novel, 100);
     let staged =

@@ -8,14 +8,14 @@
 //! ```text
 //! ppanns-cli gen       --profile sift --n 5000 --queries 50 --base base.fvecs --out-queries q.fvecs
 //! ppanns-cli outsource --base base.fvecs --beta 3.0 --seed 7 --db db.bin --keys keys.bin
-//! ppanns-cli serve     --db db.bin --addr 127.0.0.1:7070 --shards 4 --workers 8 --token 42
+//! ppanns-cli serve     --db db.bin --addr 127.0.0.1:7070 --workers 8 --token 42
 //! ppanns-cli serve     --data-dir ./collections --addr 127.0.0.1:7070 --workers 8 --token 42
 //! ppanns-cli query     --remote 127.0.0.1:7070 --keys keys.bin --queries q.fvecs --k 10
 //! ppanns-cli query     --remote 127.0.0.1:7070 --keys keys.bin --queries q.fvecs --collection docs
 //! ppanns-cli query     --remote 127.0.0.1:7070 --keys keys.bin --batch-file q.fvecs --batch-size 64
-//! ppanns-cli query     --db db.bin --keys keys.bin --queries q.fvecs --k 10 --ratio 16 --shards 4
+//! ppanns-cli query     --db db.bin --keys keys.bin --queries q.fvecs --k 10 --ratio 16
 //! ppanns-cli collections --remote 127.0.0.1:7070
-//! ppanns-cli create    --remote 127.0.0.1:7070 --token 42 --name docs --dim 960 --shards 4
+//! ppanns-cli create    --remote 127.0.0.1:7070 --token 42 --name docs --dim 960
 //! ppanns-cli drop      --remote 127.0.0.1:7070 --token 42 --name docs
 //! ppanns-cli stats     --remote 127.0.0.1:7070 [--collection docs]
 //! ppanns-cli shutdown  --remote 127.0.0.1:7070 --token 42
@@ -33,11 +33,11 @@ use ppanns::core::catalog::Catalog;
 use ppanns::core::tune::{grid_search, TuningGrid};
 use ppanns::core::{
     CloudServer, DataOwner, DurabilityOptions, EncryptedDatabase, FsyncPolicy, PpAnnParams,
-    QueryBackend, SearchParams, ShardedServer, DEFAULT_COMPACT_BYTES,
+    SearchParams, DEFAULT_COMPACT_BYTES,
 };
 use ppanns::datasets::io::{read_fvecs, write_fvecs};
 use ppanns::datasets::{brute_force_knn, Dataset, DatasetProfile};
-use ppanns::service::{serve_catalog, ServiceClient, ServiceConfig, COLLECTION_KIND_SHARDED};
+use ppanns::service::{serve_catalog, ServiceClient, ServiceConfig};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -82,14 +82,14 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   ppanns-cli gen       --profile <sift|gist|glove|deep> --n <N> --queries <Q> --base <out.fvecs> --out-queries <out.fvecs> [--seed S]
   ppanns-cli outsource --base <in.fvecs> --db <out.bin> --keys <out.bin> [--beta B] [--seed S]
-  ppanns-cli serve     --db <in.bin> [--addr A] [--shards S] [--workers W] [--token T]
+  ppanns-cli serve     --db <in.bin> [--addr A] [--workers W] [--token T]
   ppanns-cli serve     --data-dir <dir> [--addr A] [--workers W] [--token T] [--fsync always|never|every=N] [--compact-bytes B] [--replica-listen A2]
   ppanns-cli serve     --replicate-from <primary-addr> [--addr A] [--workers W] [--token T]
   ppanns-cli query     --remote <addr> --keys <in.bin> --queries <in.fvecs> [--collection C] [--k K] [--ratio R] [--ef E]
   ppanns-cli query     --remote <addr> --keys <in.bin> --batch-file <in.fvecs> [--collection C] [--batch-size B] [--k K] [--ratio R] [--ef E]
-  ppanns-cli query     --db <in.bin> --keys <in.bin> --queries <in.fvecs> [--k K] [--ratio R] [--ef E] [--shards S]
+  ppanns-cli query     --db <in.bin> --keys <in.bin> --queries <in.fvecs> [--k K] [--ratio R] [--ef E]
   ppanns-cli collections --remote <addr>
-  ppanns-cli create    --remote <addr> --token <T> --name <N> --dim <D> [--shards S]
+  ppanns-cli create    --remote <addr> --token <T> --name <N> --dim <D>
   ppanns-cli drop      --remote <addr> --token <T> --name <N>
   ppanns-cli stats     --remote <addr> [--collection C]
   ppanns-cli promote   --remote <addr> --token <T>
@@ -222,12 +222,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         (Some(_), Some(_)) => return Err("--db and --data-dir are mutually exclusive".into()),
         (Some(db_path), None) => {
             let db = EncryptedDatabase::load_from(Path::new(db_path)).map_err(|e| e.to_string())?;
-            let shards: usize = parse_or(flags, "shards", 1)?;
             let catalog = Catalog::new();
-            // Same backend choice as local `query --shards`: one
-            // CloudServer, or a ShardedServer fanning each query's filter
-            // phase across N threads.
-            catalog.create_sharded("default", db, shards).map_err(|e| e.to_string())?;
+            catalog.create("default", db).map_err(|e| e.to_string())?;
             catalog
         }
         (None, Some(dir)) => {
@@ -307,7 +303,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         },
     );
     for c in &collections {
-        println!("  {:<20} {:>8} vectors  {:>5}d  {}", c.name, c.live, c.dim, c.kind);
+        println!("  {:<20} {:>8} vectors  {:>5}d", c.name, c.live, c.dim);
     }
     match token {
         Some(t) => {
@@ -344,12 +340,7 @@ fn cmd_collections(flags: &Flags) -> Result<(), String> {
     let entries = client.list_collections().map_err(|e| e.to_string())?;
     println!("{} collections on {remote}:", entries.len());
     for e in &entries {
-        let shape = if e.kind == COLLECTION_KIND_SHARDED {
-            format!("sharded({})", e.shards)
-        } else {
-            "cloud".into()
-        };
-        println!("  {:<20} {:>8} vectors  {:>5}d  {shape}", e.name, e.live, e.dim);
+        println!("  {:<20} {:>8} vectors  {:>5}d", e.name, e.live, e.dim);
     }
     Ok(())
 }
@@ -361,10 +352,9 @@ fn cmd_create(flags: &Flags) -> Result<(), String> {
     let name = required(flags, "name")?;
     let dim: usize =
         required(flags, "dim")?.parse().map_err(|_| "--dim: cannot parse".to_string())?;
-    let shards: u16 = parse_or(flags, "shards", 1)?;
     let mut client = ServiceClient::connect(remote, None).map_err(|e| format!("{remote}: {e}"))?;
-    client.create_collection(token, name, dim, shards).map_err(|e| e.to_string())?;
-    println!("created empty collection `{name}` ({dim}d, {shards} shard(s)) on {remote}");
+    client.create_collection(token, name, dim).map_err(|e| e.to_string())?;
+    println!("created empty collection `{name}` ({dim}d) on {remote}");
     Ok(())
 }
 
@@ -521,29 +511,18 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     let k: usize = parse_or(flags, "k", 10)?;
     let ratio: usize = parse_or(flags, "ratio", 16)?;
     let ef: usize = parse_or(flags, "ef", 160)?;
-    let shards: usize = parse_or(flags, "shards", 1)?;
     let mut user = owner.authorize_user();
     let params = SearchParams::from_ratio(k, ratio, ef.max(k * ratio));
-
-    // With --shards > 1 the database is re-partitioned into a
-    // ShardedServer: the filter phase of every query then fans out across
-    // one thread per shard (results stay identical; see DESIGN.md §4).
-    let backend: Box<dyn QueryBackend> = if shards > 1 {
-        Box::new(ShardedServer::from_database(server.into_database(), shards))
-    } else {
-        Box::new(server)
-    };
-    let mode = if shards > 1 { format!("{shards} shards") } else { "single-threaded".to_string() };
 
     let started = std::time::Instant::now();
     for (i, q) in queries.iter().enumerate() {
         let enc = user.encrypt_query(q, k);
-        let out = backend.search(&enc, &params);
+        let out = server.search(&enc, &params);
         println!("query {i}: {:?}", out.ids);
     }
     let secs = started.elapsed().as_secs_f64();
     println!(
-        "{} queries in {:.3}s ({:.1} QPS, {mode})",
+        "{} queries in {:.3}s ({:.1} QPS, single-threaded)",
         queries.len(),
         secs,
         queries.len() as f64 / secs.max(1e-12)

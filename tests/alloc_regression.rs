@@ -109,11 +109,9 @@ fn warm_query_path_allocation_budgets() {
     // generous; what it gates is per-query ballooning (each round trip
     // decodes one query frame and one reply, both O(dim²) ciphertext
     // buffers, but the server's reply encode path reuses worker scratch).
-    let handle = serve(
-        ppanns::core::SharedServer::new(CloudServer::new(owner.outsource(&data))),
-        ServiceConfig::loopback(),
-    )
-    .unwrap();
+    let handle =
+        serve(ppanns::core::CloudServer::new(owner.outsource(&data)), ServiceConfig::loopback())
+            .unwrap();
     let mut client = ServiceClient::connect(handle.local_addr(), Some(dim)).unwrap();
     for q in &queries[..10] {
         client.search(q, &params).unwrap(); // warm workers and buffers

@@ -90,7 +90,7 @@ fn heavy_churn_keeps_the_wal_bounded_and_restart_log_bounded() {
     let mut live: Vec<bool> = vec![true; vectors.len()];
     {
         let catalog = Catalog::new();
-        let coll = catalog.create_durable("c", owner.outsource(w.base()), 2, &dir, opts).unwrap();
+        let coll = catalog.create_durable("c", owner.outsource(w.base()), &dir, opts).unwrap();
         for i in 0..OPS {
             if i % 3 == 2 {
                 // Delete the oldest still-live id.

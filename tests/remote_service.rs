@@ -1,26 +1,24 @@
-//! Facade-level service tests: the acceptance path (`serve --shards 4`
-//! answering bit-identically to an in-process `CloudServer`) through the
+//! Facade-level service tests: the acceptance path (`serve` answering
+//! bit-identically to an in-process `CloudServer`) through the
 //! `ppanns::service` re-export, plus a full process-level exercise of the
 //! `ppanns-cli serve` / `query --remote` / `stats` / `shutdown` loop.
 
-use ppanns::core::{
-    CloudServer, DataOwner, PpAnnParams, SearchParams, ShardedServer, SharedServer,
-};
+use ppanns::core::{CloudServer, DataOwner, PpAnnParams, SearchParams};
 use ppanns::linalg::{seeded_rng, uniform_vec};
 use ppanns::service::{serve, ServiceClient, ServiceConfig};
 use std::io::BufRead;
 use std::process::{Command, Stdio};
 
 #[test]
-fn facade_serve_shards4_matches_in_process_cloud_server() {
+fn facade_serve_matches_in_process_cloud_server() {
     let dim = 6;
     let mut rng = seeded_rng(77);
     let data: Vec<Vec<f64>> = (0..300).map(|_| uniform_vec(&mut rng, dim, -1.0, 1.0)).collect();
     let owner = DataOwner::setup(PpAnnParams::new(dim).with_seed(77).with_beta(0.0), &data);
 
     let local = CloudServer::new(owner.outsource(&data));
-    let sharded = ShardedServer::from_database(owner.outsource(&data), 4);
-    let handle = serve(SharedServer::new(sharded), ServiceConfig::loopback()).unwrap();
+    let handle =
+        serve(CloudServer::new(owner.outsource(&data)), ServiceConfig::loopback()).unwrap();
     let mut client = ServiceClient::connect(handle.local_addr(), Some(dim)).unwrap();
 
     let params = SearchParams { k_prime: 30, ef_search: 60 };
@@ -75,7 +73,7 @@ fn cli_serve_query_stats_shutdown_loop() {
         .unwrap();
     assert!(out.status.success(), "outsource failed: {}", String::from_utf8_lossy(&out.stderr));
 
-    // serve --shards 4 on an OS-assigned port; parse the bound address.
+    // serve on an OS-assigned port; parse the bound address.
     let mut server = Command::new(bin)
         .args([
             "serve",
@@ -83,8 +81,6 @@ fn cli_serve_query_stats_shutdown_loop() {
             db.to_str().unwrap(),
             "--addr",
             "127.0.0.1:0",
-            "--shards",
-            "4",
             "--workers",
             "4",
             "--token",
@@ -150,9 +146,9 @@ fn cli_serve_query_stats_shutdown_loop() {
 }
 
 /// The multi-collection CLI loop as real processes: serve --data-dir over
-/// a directory holding one legacy v1 snapshot, then create/list/query
-/// /drop collections remotely and restart to verify the directory is the
-/// source of truth.
+/// a directory holding a legacy v1 snapshot and a v2 one of another
+/// dimensionality, then create/list/query/drop collections remotely and
+/// restart to verify the directory is the source of truth.
 #[test]
 fn cli_data_dir_collections_loop() {
     use ppanns::core::{CollectionMeta, DataOwner, PpAnnParams};
@@ -169,17 +165,19 @@ fn cli_data_dir_collections_loop() {
     let ds = Dataset::generate(DatasetProfile::SiftLike, 300, 4, 6);
     write_fvecs(&base, &ds.base).unwrap();
     write_fvecs(&queries, &ds.queries).unwrap();
+    let narrow = Dataset::generate(DatasetProfile::DeepLike, 200, 1, 7);
 
-    // Owner side (library): outsource into the data dir twice — a v1
-    // snapshot (loads as its file stem) and a v2 sharded snapshot.
+    // Owner side (library): a 96d v1 snapshot (loads as its file stem)
+    // and a 128d v2 one, whose owner's keys the remote query below uses.
+    let narrow_owner =
+        DataOwner::setup(PpAnnParams::new(96).with_beta(0.0).with_seed(7), &narrow.base);
+    narrow_owner.outsource(&narrow.base).save_to(&store.join("legacy.ppdb")).unwrap();
     let owner =
         DataOwner::setup(PpAnnParams::new(ds.base[0].len()).with_beta(0.0).with_seed(6), &ds.base);
     owner.save_keys(&keys).unwrap();
-    let db = owner.outsource(&ds.base);
-    db.save_to(&store.join("legacy.ppdb")).unwrap();
     ppanns::core::save_collection_snapshot(
         &store.join("wide.ppdb"),
-        &CollectionMeta { name: "wide".into(), shards: 2 },
+        &CollectionMeta { name: "wide".into(), shards: 1 },
         &owner.outsource(&ds.base),
     )
     .unwrap();
@@ -217,13 +215,14 @@ fn cli_data_dir_collections_loop() {
 
     let (mut server, addr, _reader) = spawn_server();
 
-    // collections lists both snapshots with their shapes.
+    // collections lists both snapshots with their dimensionalities.
     let out = Command::new(bin).args(["collections", "--remote", &addr]).output().unwrap();
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success());
     assert!(text.contains("2 collections"), "unexpected listing: {text}");
-    assert!(text.contains("legacy") && text.contains("cloud"), "unexpected listing: {text}");
-    assert!(text.contains("wide") && text.contains("sharded(2)"), "unexpected listing: {text}");
+    let row = |name: &str| text.lines().find(|l| l.contains(name)).unwrap_or_default().to_string();
+    assert!(row("legacy").contains(" 96d"), "unexpected listing: {text}");
+    assert!(row("wide").contains(" 128d"), "unexpected listing: {text}");
 
     // query --collection targets the named collection.
     let out = Command::new(bin)
