@@ -116,7 +116,11 @@ impl EncryptedDatabase {
         }
         let n = data.get_u64_le() as usize;
         let comp_dim = data.get_u64_le() as usize;
-        if data.remaining() < n * comp_dim * 4 * 8 {
+        let bytes = n
+            .checked_mul(comp_dim)
+            .and_then(|f| f.checked_mul(4 * 8))
+            .ok_or_else(|| err("ciphertext count × dimension overflows"))?;
+        if data.remaining() < bytes {
             return Err(err("truncated ciphertexts"));
         }
         let mut dce = Vec::with_capacity(n);
@@ -318,6 +322,20 @@ mod tests {
     fn garbage_rejected() {
         assert!(EncryptedDatabase::from_bytes(Bytes::from_static(b"garbage!")).is_err());
         assert!(load_snapshot_bytes(Bytes::from_static(b"garbage!")).is_err());
+    }
+
+    /// A ciphertext section whose `n × comp_dim × 32` wraps `usize` must
+    /// be refused, not wrap to a small size that passes the length check.
+    #[test]
+    fn ciphertext_size_overflow_rejected() {
+        let mut bytes = EncryptedDatabase::empty(2).to_bytes().to_vec();
+        let at = bytes.len() - 16;
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        bytes[at + 8..].copy_from_slice(&(1u64 << 4).to_le_bytes());
+        match EncryptedDatabase::from_bytes(Bytes::from(bytes)) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| "a database")),
+        }
     }
 
     /// Byte-for-byte pin of the v1 container: the expected image is built

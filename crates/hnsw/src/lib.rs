@@ -30,6 +30,7 @@
 //! let _ = VecStore::new(2);
 //! ```
 
+mod adjacency;
 mod bruteforce;
 mod comparison_search;
 mod graph;
@@ -45,4 +46,5 @@ pub use graph::{Hnsw, Neighbor};
 pub use nsg::{Nsg, NsgParams};
 pub use params::HnswParams;
 pub use scratch::{ScratchPool, SearchScratch};
+pub use serial::SnapshotError;
 pub use store::VecStore;

@@ -1,5 +1,10 @@
 //! HNSW construction and search parameters.
 
+/// Largest layer-0 degree [`HnswParams::validate`] accepts: three times
+/// the paper's `m0 = 80`. Every node owns an `(m0 + 2)`-word layer-0 row
+/// whatever its actual degree, so the bound caps a row at about 1 KiB.
+pub(crate) const MAX_DEGREE: usize = 256;
+
 /// Construction parameters of the HNSW graph.
 ///
 /// The paper's evaluation (Section VII-A) uses `m = 40` and
@@ -57,13 +62,16 @@ impl HnswParams {
         1.0 / (self.m as f64).ln()
     }
 
-    /// Validates invariants (degrees ≥ 2, beam ≥ 1).
+    /// Validates invariants (`2 ≤ m ≤ m0 ≤ 256`, beam ≥ 1).
     pub fn validate(&self) -> Result<(), String> {
         if self.m < 2 {
             return Err(format!("m must be ≥ 2, got {}", self.m));
         }
         if self.m0 < self.m {
             return Err(format!("m0 ({}) must be ≥ m ({})", self.m0, self.m));
+        }
+        if self.m0 > MAX_DEGREE {
+            return Err(format!("m0 ({}) must be ≤ {MAX_DEGREE}", self.m0));
         }
         if self.ef_construction == 0 {
             return Err("ef_construction must be ≥ 1".into());
@@ -96,5 +104,7 @@ mod tests {
         assert!(p.validate().is_err());
         let p2 = HnswParams { m0: 4, ..Default::default() };
         assert!(p2.validate().is_err());
+        let p3 = HnswParams { m0: MAX_DEGREE + 1, ..Default::default() };
+        assert!(p3.validate().is_err());
     }
 }

@@ -9,7 +9,14 @@
 //! | live u64 | n_nodes u64 | store f64s | per node: deleted u8, n_layers u32,
 //!   per layer: len u32, ids u32*
 //! ```
+//!
+//! Rows are written from and read straight into the layer-0 arena
+//! (`crate::adjacency`), so a load holds one copy of the graph. Snapshots
+//! arrive from disk and from replication chunks, so the reader treats
+//! every field as hostile: a buffer that does not describe a well-formed
+//! graph is an error, never a panic, an abort or a wrapped size.
 
+use crate::adjacency::Adjacency;
 use crate::graph::Hnsw;
 use crate::params::HnswParams;
 use crate::store::VecStore;
@@ -17,6 +24,19 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"HNSW";
 const VERSION: u32 = 1;
+/// Bytes a node takes in the graph section at the least: the tombstone
+/// byte, the layer count and the layer-0 length word.
+const MIN_NODE_BYTES: usize = 1 + 4 + 4;
+/// A snapshot may claim a layer-0 arena of at most this many times its
+/// own length, plus [`ARENA_SLACK`]. Every node costs `(m0 + 2)·4` arena
+/// bytes however few links it writes, so without the bound a file of
+/// minimal node records makes the loader zero-fill ~60× its size. Any
+/// `m0 ≤ 32`, and `m0 = 80` for any index whose nodes each hold a link or
+/// whose `dim ≥ 2`, stays under it.
+const ARENA_PER_INPUT_BYTE: usize = 16;
+/// Arena bytes any snapshot may claim, so small indexes load whatever
+/// their parameters.
+const ARENA_SLACK: usize = 1 << 20;
 
 /// Serialization failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,6 +45,8 @@ pub enum SnapshotError {
     BadHeader,
     /// The buffer ended prematurely or contained inconsistent lengths.
     Truncated,
+    /// The fields parse but do not describe a well-formed index.
+    Corrupt(&'static str),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -32,6 +54,7 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::BadHeader => write!(f, "bad snapshot header"),
             SnapshotError::Truncated => write!(f, "truncated snapshot"),
+            SnapshotError::Corrupt(why) => write!(f, "corrupt snapshot: {why}"),
         }
     }
 }
@@ -40,7 +63,7 @@ impl std::error::Error for SnapshotError {}
 impl Hnsw {
     /// Serializes the full index (vectors + graph + tombstones).
     pub fn to_bytes(&self) -> Bytes {
-        let (params, store, nodes, entry, live) = self.raw_parts();
+        let (params, store, n) = (self.params(), self.store(), self.capacity_slots());
         let mut buf = BytesMut::with_capacity(64 + store.raw().len() * 8);
         buf.put_slice(MAGIC);
         buf.put_u32_le(VERSION);
@@ -51,19 +74,21 @@ impl Hnsw {
         buf.put_u8(params.extend_candidates as u8);
         buf.put_u8(params.keep_pruned as u8);
         buf.put_u64_le(params.seed);
-        buf.put_u64_le(entry.map_or(u64::MAX, |e| e as u64));
-        buf.put_u64_le(live as u64);
-        buf.put_u64_le(nodes.len() as u64);
+        buf.put_u64_le(self.entry_point().map_or(u64::MAX, |e| e as u64));
+        buf.put_u64_le(self.len() as u64);
+        buf.put_u64_le(n as u64);
         for v in store.raw() {
             buf.put_f64_le(*v);
         }
-        for (links, deleted) in &nodes {
-            buf.put_u8(*deleted as u8);
-            buf.put_u32_le(links.len() as u32);
-            for layer in links {
-                buf.put_u32_le(layer.len() as u32);
-                for id in layer {
-                    buf.put_u32_le(*id);
+        for id in 0..n as u32 {
+            let level = self.node_level(id);
+            buf.put_u8(self.is_deleted(id) as u8);
+            buf.put_u32_le(level as u32 + 1);
+            for layer in 0..=level {
+                let links = self.links(id, layer);
+                buf.put_u32_le(links.len() as u32);
+                for &nb in links {
+                    buf.put_u32_le(nb);
                 }
             }
         }
@@ -71,7 +96,17 @@ impl Hnsw {
     }
 
     /// Restores an index serialized by [`Hnsw::to_bytes`].
+    ///
+    /// Returns [`SnapshotError::Corrupt`] when the fields do not describe
+    /// an index this code could have written: sizes that overflow, a zero
+    /// dimension, invalid parameters, a non-finite coordinate, a node with
+    /// no layer 0, a list longer than its layer's degree bound, a link or
+    /// entry point out of range, an upper-layer link to a node below that
+    /// layer, a live count that disagrees with the tombstones, or a
+    /// layer-0 arena more than 16× the snapshot's length plus 1 MiB.
     pub fn from_bytes(mut data: Bytes) -> Result<Self, SnapshotError> {
+        use SnapshotError::Corrupt;
+        let input_len = data.len();
         if data.remaining() < 8 || &data.copy_to_bytes(4)[..] != MAGIC {
             return Err(SnapshotError::BadHeader);
         }
@@ -85,7 +120,7 @@ impl Hnsw {
                 Ok(())
             }
         };
-        need(&data, 8 * 7 + 2)?;
+        need(&data, 8 * 8 + 2)?;
         let dim = data.get_u64_le() as usize;
         let params = HnswParams {
             m: data.get_u64_le() as usize,
@@ -98,28 +133,72 @@ impl Hnsw {
         let entry_raw = data.get_u64_le();
         let live = data.get_u64_le() as usize;
         let n_nodes = data.get_u64_le() as usize;
-        need(&data, n_nodes * dim * 8)?;
-        let mut raw = Vec::with_capacity(n_nodes * dim);
-        for _ in 0..n_nodes * dim {
-            raw.push(data.get_f64_le());
+        if dim == 0 {
+            return Err(Corrupt("zero dimension"));
         }
-        let store = VecStore::from_raw(dim.max(1), raw);
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
+        params.validate().map_err(|_| Corrupt("invalid parameters"))?;
+        let floats = n_nodes
+            .checked_mul(dim)
+            .filter(|f| f.checked_mul(8).is_some() && n_nodes <= u32::MAX as usize)
+            .ok_or(Corrupt("node count × dimension overflows"))?;
+        need(&data, floats * 8)?;
+        let mut raw = Vec::with_capacity(floats);
+        for _ in 0..floats {
+            let x = data.get_f64_le();
+            if !x.is_finite() {
+                return Err(Corrupt("non-finite coordinate"));
+            }
+            raw.push(x);
+        }
+        let store = VecStore::from_raw(dim, raw);
+
+        need(&data, n_nodes * MIN_NODE_BYTES)?;
+        let arena_bytes = n_nodes * (params.m0 + 2) * 4;
+        if arena_bytes > ARENA_PER_INPUT_BYTE.saturating_mul(input_len) + ARENA_SLACK {
+            return Err(Corrupt("layer-0 arena out of proportion to the snapshot"));
+        }
+        let mut adj = Adjacency::with_capacity(params.m0, n_nodes)
+            .ok_or(Corrupt("layer-0 arena size overflows"))?;
+        let mut deleted = Vec::with_capacity(n_nodes);
+        for id in 0..n_nodes as u32 {
             need(&data, 5)?;
-            let deleted = data.get_u8() != 0;
+            deleted.push(data.get_u8() != 0);
             let n_layers = data.get_u32_le() as usize;
-            let mut links = Vec::with_capacity(n_layers);
-            for _ in 0..n_layers {
+            if n_layers == 0 {
+                return Err(Corrupt("node without a layer 0"));
+            }
+            need(&data, n_layers * 4)?;
+            adj.add_node(n_layers - 1);
+            for layer in 0..n_layers {
                 need(&data, 4)?;
                 let len = data.get_u32_le() as usize;
+                if len > params.max_degree(layer) {
+                    return Err(Corrupt("neighbour list longer than its degree bound"));
+                }
                 need(&data, len * 4)?;
-                links.push((0..len).map(|_| data.get_u32_le()).collect());
+                adj.set_links(id, layer, (0..len).map(|_| data.get_u32_le()));
+                if adj.links_at(id, layer).iter().any(|&nb| nb as usize >= n_nodes) {
+                    return Err(Corrupt("neighbour id out of range"));
+                }
             }
-            nodes.push((links, deleted));
         }
-        let entry = if entry_raw == u64::MAX { None } else { Some(entry_raw as u32) };
-        Ok(Hnsw::from_raw_parts(params, store, nodes, entry, live))
+        // A walk on layer l steps only to nodes that live on layer l.
+        for id in 0..n_nodes as u32 {
+            for layer in 1..=adj.level(id) {
+                if adj.links_at(id, layer).iter().any(|&nb| adj.level(nb) < layer) {
+                    return Err(Corrupt("upper-layer link to a node below that layer"));
+                }
+            }
+        }
+        let entry = match entry_raw {
+            u64::MAX => None,
+            e if e < n_nodes as u64 => Some(e as u32),
+            _ => return Err(Corrupt("entry point out of range")),
+        };
+        if deleted.iter().filter(|&&d| !d).count() != live {
+            return Err(Corrupt("live count disagrees with the tombstones"));
+        }
+        Ok(Hnsw::from_parts(params, store, adj, deleted, entry, live))
     }
 }
 
@@ -152,7 +231,200 @@ mod tests {
             SnapshotError::BadHeader
         );
         let mut good = Hnsw::build(2, HnswParams::default(), &[vec![0.0, 1.0]]).to_bytes().to_vec();
+        // Cut inside the node count, the last of the 74 header bytes.
+        let header_cut = Bytes::copy_from_slice(&good[..70]);
+        assert_eq!(Hnsw::from_bytes(header_cut).unwrap_err(), SnapshotError::Truncated);
         good.truncate(good.len() - 3);
         assert_eq!(Hnsw::from_bytes(Bytes::from(good)).unwrap_err(), SnapshotError::Truncated);
+    }
+
+    // Header offsets of the fields the rejection tests below edit.
+    const DIM: usize = 8;
+    const M: usize = 16;
+    const M0: usize = 24;
+    const ENTRY: usize = 50;
+    const LIVE: usize = 58;
+    const N_NODES: usize = 66;
+    const STORE: usize = 74;
+
+    /// A 300 × 2 index (so some nodes reach layer 1) and its snapshot.
+    fn snapshot() -> (Hnsw, Vec<u8>) {
+        let mut rng = seeded_rng(72);
+        let pts: Vec<Vec<f64>> = (0..300).map(|_| uniform_vec(&mut rng, 2, -1.0, 1.0)).collect();
+        let index = Hnsw::build(2, HnswParams::default(), &pts);
+        let bytes = index.to_bytes().to_vec();
+        (index, bytes)
+    }
+
+    fn put_u64(bytes: &mut [u8], at: usize, v: u64) {
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u32(bytes: &mut [u8], at: usize, v: u32) {
+        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Offset of node 0's record (its tombstone byte) in the graph section.
+    fn node0(index: &Hnsw) -> usize {
+        STORE + index.capacity_slots() * index.dim() * 8
+    }
+
+    /// Offset of the record of the first node that lives on layer 1.
+    fn first_upper_node(index: &Hnsw) -> (u32, usize) {
+        let mut at = node0(index);
+        for id in 0..index.capacity_slots() as u32 {
+            if index.node_level(id) >= 1 {
+                return (id, at);
+            }
+            at += 1 + 4 + 4 + 4 * index.links(id, 0).len();
+        }
+        panic!("no node reached layer 1");
+    }
+
+    fn load(bytes: Vec<u8>) -> Result<Hnsw, SnapshotError> {
+        Hnsw::from_bytes(Bytes::from(bytes))
+    }
+
+    fn corrupt(bytes: Vec<u8>) -> &'static str {
+        match load(bytes) {
+            Err(SnapshotError::Corrupt(why)) => why,
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| "an index")),
+        }
+    }
+
+    #[test]
+    fn the_unedited_snapshot_loads() {
+        let (index, bytes) = snapshot();
+        assert_eq!(load(bytes.clone()).unwrap().to_bytes().to_vec(), bytes);
+        assert!(first_upper_node(&index).0 < 300);
+    }
+
+    #[test]
+    fn rejects_a_store_size_that_overflows() {
+        let (_, mut bytes) = snapshot();
+        put_u64(&mut bytes, N_NODES, 1 << 62);
+        assert_eq!(corrupt(bytes), "node count × dimension overflows");
+    }
+
+    #[test]
+    fn rejects_a_zero_dimension() {
+        let (_, mut bytes) = snapshot();
+        put_u64(&mut bytes, DIM, 0);
+        assert_eq!(corrupt(bytes), "zero dimension");
+    }
+
+    #[test]
+    fn rejects_invalid_parameters() {
+        let (_, mut bytes) = snapshot();
+        put_u64(&mut bytes, M, 1);
+        assert_eq!(corrupt(bytes), "invalid parameters");
+        let (_, mut bytes) = snapshot();
+        put_u64(&mut bytes, M0, crate::params::MAX_DEGREE as u64 + 1);
+        assert_eq!(corrupt(bytes), "invalid parameters");
+    }
+
+    #[test]
+    fn rejects_a_non_finite_coordinate() {
+        let (_, mut bytes) = snapshot();
+        bytes[STORE..STORE + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        assert_eq!(corrupt(bytes), "non-finite coordinate");
+    }
+
+    #[test]
+    fn rejects_a_node_without_layer_0() {
+        let (index, mut bytes) = snapshot();
+        put_u32(&mut bytes, node0(&index) + 1, 0);
+        assert_eq!(corrupt(bytes), "node without a layer 0");
+    }
+
+    #[test]
+    fn rejects_a_neighbour_id_out_of_range() {
+        let (index, mut bytes) = snapshot();
+        assert!(!index.links(0, 0).is_empty());
+        put_u32(&mut bytes, node0(&index) + 9, 300);
+        assert_eq!(corrupt(bytes), "neighbour id out of range");
+    }
+
+    #[test]
+    fn rejects_an_entry_point_out_of_range() {
+        let (_, mut bytes) = snapshot();
+        put_u64(&mut bytes, ENTRY, 300);
+        assert_eq!(corrupt(bytes), "entry point out of range");
+    }
+
+    #[test]
+    fn rejects_a_layer_0_list_longer_than_m0() {
+        // Lowering m0 to m (still valid parameters) leaves the rows that
+        // hold more than m links too long for the arena.
+        let (index, mut bytes) = snapshot();
+        assert!((0..300).any(|id| index.links(id, 0).len() > 16));
+        put_u64(&mut bytes, M0, 16);
+        assert_eq!(corrupt(bytes), "neighbour list longer than its degree bound");
+    }
+
+    #[test]
+    fn rejects_an_upper_list_longer_than_m() {
+        let (index, mut bytes) = snapshot();
+        let (id, _) = first_upper_node(&index);
+        let longest = (0..300u32)
+            .filter(|&v| index.node_level(v) >= 1)
+            .map(|v| index.links(v, 1).len())
+            .max()
+            .unwrap();
+        assert!(longest > 2, "node {id}'s layer is too sparse for this edit");
+        put_u64(&mut bytes, M, 2);
+        assert_eq!(corrupt(bytes), "neighbour list longer than its degree bound");
+    }
+
+    #[test]
+    fn rejects_an_upper_link_to_a_node_below_that_layer() {
+        let (index, mut bytes) = snapshot();
+        let (id, at) = first_upper_node(&index);
+        let layer1 = at + 1 + 4 + 4 + 4 * index.links(id, 0).len();
+        assert!(!index.links(id, 1).is_empty());
+        let ground = (0..300u32).find(|&v| index.node_level(v) == 0).unwrap();
+        put_u32(&mut bytes, layer1 + 4, ground);
+        assert_eq!(corrupt(bytes), "upper-layer link to a node below that layer");
+    }
+
+    /// A dim-1 snapshot of `n` live nodes with empty lists: 17 bytes per
+    /// node, the least a node record can take.
+    fn minimal_nodes(m0: u64, n: usize) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(VERSION.to_le_bytes());
+        for v in [1, 16, m0, 200] {
+            bytes.extend(u64::to_le_bytes(v));
+        }
+        bytes.extend([0, 1]);
+        for v in [0x5EED, u64::MAX, n as u64, n as u64] {
+            bytes.extend(u64::to_le_bytes(v));
+        }
+        for _ in 0..n {
+            bytes.extend(0.0f64.to_le_bytes());
+        }
+        for _ in 0..n {
+            bytes.push(0);
+            bytes.extend(1u32.to_le_bytes());
+            bytes.extend(0u32.to_le_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn rejects_an_arena_out_of_proportion_to_the_snapshot() {
+        // At m0 = 256 each 17-byte record claims a 1032-byte row.
+        assert_eq!(
+            corrupt(minimal_nodes(256, 4000)),
+            "layer-0 arena out of proportion to the snapshot"
+        );
+        assert_eq!(load(minimal_nodes(256, 100)).unwrap().len(), 100, "small ones fit the slack");
+        assert_eq!(load(minimal_nodes(32, 4000)).unwrap().len(), 4000, "default m0 always fits");
+    }
+
+    #[test]
+    fn rejects_a_live_count_that_disagrees_with_the_tombstones() {
+        let (_, mut bytes) = snapshot();
+        put_u64(&mut bytes, LIVE, 299);
+        assert_eq!(corrupt(bytes), "live count disagrees with the tombstones");
     }
 }

@@ -159,6 +159,34 @@ pub fn all() -> Vec<&'static Kernels> {
     v
 }
 
+/// Asks the CPU to start pulling every cache line of `data` toward L1, so
+/// a graph walk can overlap the memory latency of the rows it reads next
+/// with the distance work it is doing now.
+///
+/// Only a hint: a prefetch reads nothing the program can observe, so it
+/// can never change a result. It does nothing off `x86_64`.
+#[inline]
+pub fn prefetch<T>(data: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let per_line = (LINE / std::mem::size_of::<T>().max(1)).max(1);
+        // One address per 64-byte step from the slice start, plus the last
+        // element: together they touch every line an unaligned slice spans.
+        let line_starts = data.chunks(per_line).map(<[T]>::as_ptr);
+        for addr in line_starts.chain(data.last().map(std::ptr::from_ref)) {
+            // SAFETY: `prefetch` never faults and has no architectural
+            // effect, whatever the address; SSE is part of the x86_64
+            // baseline. Each address is the start of a subslice or an
+            // element of `data`, so none points past its end anyway.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(addr.cast::<i8>()) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
+}
+
 /// The scalar parity oracle. The four hot loops are the pre-SIMD
 /// implementations moved here verbatim; `squared_euclidean_many` adds a
 /// two-row interleave that keeps each row's accumulation order identical
@@ -867,6 +895,19 @@ mod tests {
         let tables = all();
         assert_eq!(tables[0].name, "scalar");
         assert!(tables.len() <= 2);
+    }
+
+    #[test]
+    fn prefetch_accepts_any_slice() {
+        let words: Vec<u32> = (0..100).collect();
+        let rows = vec![1.0f64; 257];
+        prefetch::<u32>(&[]);
+        prefetch(&[(); 3]);
+        for start in 0..5 {
+            prefetch(&words[start..]);
+            prefetch(&rows[start..start + 129]);
+        }
+        assert_eq!(words.iter().sum::<u32>(), 4950, "a prefetch never writes");
     }
 
     #[test]
