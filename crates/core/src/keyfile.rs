@@ -143,6 +143,24 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// 64-bit FNV-1a.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Pins the PPSK layout byte for byte, including the two reserved
+    /// option bytes after `ef_construction`.
+    #[test]
+    fn key_bytes_layout_is_pinned() {
+        let mut rng = seeded_rng(0x5EED);
+        let data: Vec<Vec<f64>> = (0..16).map(|_| uniform_vec(&mut rng, 8, -2.0, 2.0)).collect();
+        let owner = DataOwner::setup(PpAnnParams::new(8).with_seed(0x0DD), &data);
+        let bytes = owner.to_key_bytes();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (19_850, 0x30f2_96a7_dcfd_1942));
+    }
+
     #[test]
     fn garbage_key_rejected() {
         assert!(DataOwner::from_key_bytes(Bytes::from_static(b"garbage")).is_err());
