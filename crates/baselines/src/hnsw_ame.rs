@@ -4,11 +4,10 @@
 //! AME secure comparisons at O(d²) each instead of DCE's O(d).
 
 use crate::cost::{BaselineOutcome, TriCost};
-use crate::heap::ComparatorTopK;
 use ppann_ame::{distance_comp, AmeCiphertext, AmeSecretKey, AmeTrapdoor};
 use ppann_dcpe::{SapEncryptor, SapKey};
 use ppann_hnsw::{Hnsw, HnswParams};
-use ppann_linalg::{seeded_rng, vector};
+use ppann_linalg::{seeded_rng, vector, TopK};
 use std::time::Instant;
 
 /// Parameters for the HNSW-AME system (matches the main scheme's knobs).
@@ -98,7 +97,7 @@ impl HnswAme {
         let k_prime = k_prime.max(query.k);
         let candidates = self.hnsw.search(&query.c_sap, k_prime, ef_search.max(k_prime));
 
-        let mut heap = ComparatorTopK::new(query.k, |a: u32, b: u32| {
+        let mut heap = TopK::new(query.k, |a: u32, b: u32| {
             distance_comp(&self.ame_cts[a as usize], &self.ame_cts[b as usize], &query.trapdoor)
                 > 0.0
         });

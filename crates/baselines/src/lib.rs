@@ -16,7 +16,6 @@
 //! docs; substitutions are catalogued in DESIGN.md §3.
 
 pub mod cost;
-pub mod heap;
 pub mod hnsw_ame;
 pub mod naive_dce;
 pub mod pacm_ann;

@@ -18,8 +18,7 @@
 //! Figures 7 and 9 compare — are equivalent.
 
 use crate::cost::{BaselineOutcome, TriCost};
-use crate::heap::ComparatorTopK;
-use ppann_linalg::{seeded_rng, vector};
+use ppann_linalg::{seeded_rng, vector, TopK};
 use ppann_lsh::{LshIndex, LshParams};
 use ppann_pir::{PirCost, PirDatabase, TwoServerPir};
 use std::collections::HashMap;
@@ -160,7 +159,7 @@ impl PriAnn {
                 )
             })
             .collect();
-        let mut heap = ComparatorTopK::new(k, |a: u32, b: u32| {
+        let mut heap = TopK::new(k, |a: u32, b: u32| {
             vector::squared_euclidean(&decoded[&a], q) > vector::squared_euclidean(&decoded[&b], q)
         });
         for &id in &candidates {

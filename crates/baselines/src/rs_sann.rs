@@ -14,8 +14,7 @@
 //! user-side decryption — fall straight out of step 2 and 3.
 
 use crate::cost::{BaselineOutcome, TriCost};
-use crate::heap::ComparatorTopK;
-use ppann_linalg::vector;
+use ppann_linalg::{vector, TopK};
 use ppann_lsh::{LshIndex, LshParams};
 use ppann_softaes::{decrypt_f64_vector, encrypt_f64_vector, AesCtr};
 use std::time::Instant;
@@ -97,7 +96,7 @@ impl RsSann {
             .iter()
             .map(|(id, ct)| (*id, decrypt_f64_vector(&self.aes, *id as u64, ct)))
             .collect();
-        let mut heap = ComparatorTopK::new(k, |a: u32, b: u32| {
+        let mut heap = TopK::new(k, |a: u32, b: u32| {
             let da = &decrypted.iter().find(|(id, _)| *id == a).expect("candidate").1;
             let db = &decrypted.iter().find(|(id, _)| *id == b).expect("candidate").1;
             vector::squared_euclidean(da, q) > vector::squared_euclidean(db, q)

@@ -8,10 +8,9 @@
 //! 2. **Coordinate normalization** (DESIGN.md §6) — run DCE on raw
 //!    SIFT-scale coordinates (|x| ≤ 255) vs owner-normalized ones and count
 //!    comparison sign errors against plaintext truth.
-//! 3. **HNSW neighbor-selection heuristic** — `keep_pruned` on/off.
-//! 4. **Naive design, modeled** (paper §I) — per-operation cost ratio of a
+//! 3. **Naive design, modeled** (paper §I) — per-operation cost ratio of a
 //!    DCE comparison vs a SAP distance, reproducing the "at least 4×" claim.
-//! 5. **Naive design, measured** — the full naive HNSW-over-DCE system
+//! 4. **Naive design, measured** — the full naive HNSW-over-DCE system
 //!    (plaintext-built graph, comparison-driven traversal) against the real
 //!    scheme at equal recall targets.
 
@@ -28,12 +27,11 @@ fn main() {
     let scale = bench_scale();
     ablation_exact_refine(scale);
     ablation_normalization();
-    ablation_keep_pruned(scale);
     ablation_naive_dce_graph();
     ablation_naive_dce_measured(scale);
 }
 
-/// (5) The naive design measured end to end.
+/// (4) The naive design measured end to end.
 fn ablation_naive_dce_measured(scale: ppann_bench::BenchScale) {
     use ppann_baselines::naive_dce::{NaiveDce, NaiveDceParams};
     let profile = DatasetProfile::SiftLike;
@@ -43,7 +41,7 @@ fn ablation_naive_dce_measured(scale: ppann_bench::BenchScale) {
     let truth = w.ground_truth(k);
 
     let mut t = TableWriter::new(
-        "Ablation 5: naive HNSW-over-DCE vs filter-and-refine (measured)",
+        "Ablation 4: naive HNSW-over-DCE vs filter-and-refine (measured)",
         &["system", "recall@10", "latency(ms)", "leaks exact neighborhoods?"],
     );
 
@@ -154,45 +152,10 @@ fn ablation_normalization() {
         ]);
     }
     t.print();
-    println!("shape: both tiny, but normalization keeps the comparison exact with a wide margin (DESIGN.md S6).");
+    println!("shape: both tiny, but normalization keeps the comparison exact with a wide margin (DESIGN.md §6).");
 }
 
-/// (3) HNSW keep_pruned heuristic on/off.
-fn ablation_keep_pruned(scale: ppann_bench::BenchScale) {
-    let profile = DatasetProfile::GloveLike;
-    let k = 10;
-    let n = scale.scaled(5_000, 20_000);
-    let w = Workload::generate(profile, n, scale.scaled(50, 200), 113);
-    let truth = w.ground_truth(k);
-    let mut t = TableWriter::new(
-        "Ablation 3: HNSW keepPrunedConnections",
-        &["keep_pruned", "efSearch", "recall@10", "QPS"],
-    );
-    for keep in [true, false] {
-        let params = HnswParams { keep_pruned: keep, ..HnswParams::default() };
-        let (_owner, server, mut user) = build_scheme(&w, 0.0, params, 73);
-        for ef in [20usize, 80] {
-            let m = measured_queries(
-                &server,
-                &mut user,
-                &w,
-                &truth,
-                k,
-                &SearchParams { k_prime: k, ef_search: ef },
-                true,
-            );
-            t.row(&[
-                keep.to_string(),
-                ef.to_string(),
-                format!("{:.3}", m.recall),
-                format!("{:.0}", m.qps),
-            ]);
-        }
-    }
-    t.print();
-}
-
-/// (4) The paper's §I argument against running HNSW directly over DCE:
+/// (3) The paper's §I argument against running HNSW directly over DCE:
 /// model the naive design's cost from measured per-operation timings.
 fn ablation_naive_dce_graph() {
     let d = 128;
@@ -218,7 +181,7 @@ fn ablation_naive_dce_graph() {
     let dce_ns = started.elapsed().as_nanos() as f64 / reps as f64;
 
     let mut t = TableWriter::new(
-        "Ablation 4: naive HNSW-over-DCE (modeled, d=128)",
+        "Ablation 3: naive HNSW-over-DCE (modeled, d=128)",
         &["operation", "ns/op", "relative"],
     );
     t.row(&["SAP distance (our filter)".into(), format!("{plain_ns:.0}"), "1.0x".into()]);

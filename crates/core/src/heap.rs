@@ -6,15 +6,30 @@
 //! giving the paper's refine complexity O(k′·d·log k).
 
 use ppann_dce::{distance_comp, distance_comp_many_into, DceCiphertext, DceTrapdoor};
+use ppann_linalg::{Ranking, TopK};
 
-/// A bounded secure max-heap: retains the `k` candidates closest to the
-/// query, with the *farthest* retained candidate on top.
-pub struct SecureTopK<'a> {
+/// Algorithm 2's order: one `DistanceComp` sign per decision.
+#[derive(Clone, Copy)]
+struct DceRanking<'a> {
     trapdoor: &'a DceTrapdoor,
     ciphertexts: &'a [DceCiphertext],
-    capacity: usize,
-    heap: Vec<u32>,
-    comparisons: u64,
+}
+
+impl Ranking for DceRanking<'_> {
+    /// `true` iff `dist(a, q) > dist(b, q)` — the max-heap ordering.
+    #[inline]
+    fn farther(&mut self, a: u32, b: u32) -> bool {
+        distance_comp(&self.ciphertexts[a as usize], &self.ciphertexts[b as usize], self.trapdoor)
+            > 0.0
+    }
+}
+
+/// A bounded secure max-heap: retains the `k` candidates closest to the
+/// query, with the *farthest* retained candidate on top. It is the
+/// [`TopK`] heap instantiated with DCE comparisons, plus a batched screen
+/// ([`Self::offer_many`]).
+pub struct SecureTopK<'a> {
+    heap: TopK<DceRanking<'a>>,
 }
 
 impl<'a> SecureTopK<'a> {
@@ -35,11 +50,10 @@ impl<'a> SecureTopK<'a> {
         trapdoor: &'a DceTrapdoor,
         ciphertexts: &'a [DceCiphertext],
         capacity: usize,
-        mut storage: Vec<u32>,
+        storage: Vec<u32>,
     ) -> Self {
-        assert!(capacity > 0, "SecureTopK requires capacity ≥ 1");
-        storage.clear();
-        Self { trapdoor, ciphertexts, capacity, heap: storage, comparisons: 0 }
+        let ranking = DceRanking { trapdoor, ciphertexts };
+        Self { heap: TopK::with_storage(capacity, ranking, storage) }
     }
 
     /// Number of retained candidates.
@@ -54,31 +68,15 @@ impl<'a> SecureTopK<'a> {
 
     /// Secure comparisons performed so far.
     pub fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-
-    /// `true` iff `dist(a, q) > dist(b, q)` — the max-heap ordering.
-    fn farther(&mut self, a: u32, b: u32) -> bool {
-        self.comparisons += 1;
-        distance_comp(&self.ciphertexts[a as usize], &self.ciphertexts[b as usize], self.trapdoor)
-            > 0.0
+        self.heap.comparisons()
     }
 
     /// Offers a candidate (the body of Algorithm 2's loop): inserted outright
     /// while the heap is under capacity; otherwise it replaces the current
-    /// top iff it is closer to the query.
+    /// top iff it is closer to the query (line 8: `DistanceComp(C_o, C_p,
+    /// T_q) > 0` ⇒ p wins).
     pub fn offer(&mut self, id: u32) {
-        if self.heap.len() < self.capacity {
-            self.heap.push(id);
-            self.sift_up(self.heap.len() - 1);
-        } else {
-            let top = self.heap[0];
-            // Algorithm 2 line 8: DistanceComp(C_o, C_p, T_q) > 0 ⇒ p wins.
-            if self.farther(top, id) {
-                self.heap[0] = id;
-                self.sift_down(0);
-            }
-        }
+        self.heap.offer(id);
     }
 
     /// Offers a whole candidate list, retaining exactly what offering each
@@ -97,8 +95,8 @@ impl<'a> SecureTopK<'a> {
     /// halves loaded once.
     pub fn offer_many(&mut self, ids: &[u32]) {
         let mut idx = 0;
-        while self.heap.len() < self.capacity && idx < ids.len() {
-            self.offer(ids[idx]);
+        while !self.heap.is_full() && idx < ids.len() {
+            self.heap.offer(ids[idx]);
             idx += 1;
         }
         let rest = &ids[idx..];
@@ -106,12 +104,13 @@ impl<'a> SecureTopK<'a> {
             return;
         }
         // The batch-start top stays the screen reference across every chunk
-        // (its field borrow is `'a`, independent of `&mut self`): chunking
-        // only groups kernel calls, the decisions and comparison count are
-        // exactly those of the unchunked screen. Staging the ciphertext
-        // refs in a fixed stack array keeps the warm path allocation-free.
-        let cts: &'a [DceCiphertext] = self.ciphertexts;
-        let top_ct = &cts[self.heap[0] as usize];
+        // (the ranking's borrows are `'a`, independent of `&mut self`):
+        // chunking only groups kernel calls, the decisions and comparison
+        // count are exactly those of the unchunked screen. Staging the
+        // ciphertext refs in a fixed stack array keeps the warm path
+        // allocation-free.
+        let DceRanking { trapdoor, ciphertexts: cts } = *self.heap.ranking();
+        let top_ct = &cts[self.heap.top().expect("a full heap has a top") as usize];
         const CHUNK: usize = 64;
         let mut c_ps: [&DceCiphertext; CHUNK] = [top_ct; CHUNK];
         let mut zs = [0.0f64; CHUNK];
@@ -119,51 +118,16 @@ impl<'a> SecureTopK<'a> {
             for (slot, &id) in c_ps.iter_mut().zip(chunk) {
                 *slot = &cts[id as usize];
             }
-            distance_comp_many_into(
-                top_ct,
-                &c_ps[..chunk.len()],
-                self.trapdoor,
-                &mut zs[..chunk.len()],
-            );
-            self.comparisons += chunk.len() as u64;
+            distance_comp_many_into(top_ct, &c_ps[..chunk.len()], trapdoor, &mut zs[..chunk.len()]);
+            self.heap.record_comparisons(chunk.len() as u64);
             for (&id, &z) in chunk.iter().zip(&zs[..chunk.len()]) {
                 // z > 0 ⇔ the batch-start top is farther ⇒ the candidate
                 // may still belong in the heap: run the normal offer
                 // against the live top.
                 if z > 0.0 {
-                    self.offer(id);
+                    self.heap.offer(id);
                 }
             }
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.farther(self.heap[i], self.heap[parent]) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut largest = i;
-            if l < self.heap.len() && self.farther(self.heap[l], self.heap[largest]) {
-                largest = l;
-            }
-            if r < self.heap.len() && self.farther(self.heap[r], self.heap[largest]) {
-                largest = r;
-            }
-            if largest == i {
-                return;
-            }
-            self.heap.swap(i, largest);
-            i = largest;
         }
     }
 
@@ -171,23 +135,13 @@ impl<'a> SecureTopK<'a> {
     /// comparisons; the paper returns the heap unordered, ordering is a
     /// convenience for recall computation).
     pub fn into_sorted_ids(self) -> Vec<u32> {
-        self.into_sorted_parts().0
+        self.heap.into_sorted_ids()
     }
 
     /// [`Self::into_sorted_ids`] that also returns the (now empty) heap
     /// storage for recycling into the next [`Self::new_with_storage`].
-    pub fn into_sorted_parts(mut self) -> (Vec<u32>, Vec<u32>) {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while !self.heap.is_empty() {
-            let last = self.heap.len() - 1;
-            self.heap.swap(0, last);
-            out.push(self.heap.pop().expect("nonempty"));
-            if !self.heap.is_empty() {
-                self.sift_down(0);
-            }
-        }
-        out.reverse();
-        (out, self.heap)
+    pub fn into_sorted_parts(self) -> (Vec<u32>, Vec<u32>) {
+        self.heap.into_sorted_parts()
     }
 }
 
@@ -239,6 +193,32 @@ mod tests {
         let ids = heap.into_sorted_ids();
         assert_eq!(ids.len(), 3);
         assert_eq!(ids[0], 0);
+    }
+
+    /// Encrypts each key as the point `(key, 0)` and queries the origin,
+    /// so the secure order is the order of the keys' squares.
+    fn keyed_heap_ids(keys: &[f64], capacity: usize, seed: u64) -> Vec<u32> {
+        let mut rng = seeded_rng(seed);
+        let sk = DceSecretKey::generate(2, &mut rng);
+        let cts: Vec<_> = keys.iter().map(|&v| sk.encrypt(&[v, 0.0], &mut rng)).collect();
+        let t = sk.trapdoor(&[0.0, 0.0], &mut rng);
+        let mut heap = SecureTopK::new(&t, &cts, capacity);
+        for id in 0..keys.len() as u32 {
+            heap.offer(id);
+        }
+        heap.into_sorted_ids()
+    }
+
+    #[test]
+    fn selects_smallest_values() {
+        let keys = [5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0];
+        assert_eq!(keyed_heap_ids(&keys, 3, 125), vec![1, 5, 3]);
+    }
+
+    #[test]
+    fn capacity_one() {
+        let keys = [4.0, 2.0, 6.0];
+        assert_eq!(keyed_heap_ids(&keys, 1, 126), vec![1]);
     }
 
     /// Batched offering retains exactly the sequential result — the screen

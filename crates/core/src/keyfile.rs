@@ -30,12 +30,7 @@ impl DataOwner {
         buf.put_u64_le(params.dim as u64);
         buf.put_f64_le(params.sap_s);
         buf.put_f64_le(params.sap_beta);
-        buf.put_u64_le(params.hnsw.m as u64);
-        buf.put_u64_le(params.hnsw.m0 as u64);
-        buf.put_u64_le(params.hnsw.ef_construction as u64);
-        buf.put_u8(params.hnsw.extend_candidates as u8);
-        buf.put_u8(params.hnsw.keep_pruned as u8);
-        buf.put_u64_le(params.hnsw.seed);
+        params.hnsw.encode(&mut buf);
         buf.put_u64_le(params.seed);
         buf.put_f64_le(key.norm_scale_value());
         buf.put_u64_le(dce_bytes.len() as u64);
@@ -44,7 +39,10 @@ impl DataOwner {
     }
 
     /// Restores a data owner from bytes written by
-    /// [`DataOwner::to_key_bytes`].
+    /// [`DataOwner::to_key_bytes`]. HNSW parameters that
+    /// [`HnswParams::validate`] refuses, or a header `dim` that disagrees
+    /// with the DCE key, are [`PersistError::Corrupt`] here rather than a
+    /// panic at the next `outsource`.
     pub fn from_key_bytes(mut data: Bytes) -> Result<Self, PersistError> {
         let corrupt = |msg: &str| PersistError::Corrupt(msg.to_string());
         if data.remaining() < 8 || &data.copy_to_bytes(4)[..] != MAGIC {
@@ -53,20 +51,14 @@ impl DataOwner {
         if data.get_u32_le() != VERSION {
             return Err(corrupt("unsupported key version"));
         }
-        if data.remaining() < 8 * 8 + 2 + 8 {
+        if data.remaining() < 3 * 8 + HnswParams::ENCODED_LEN + 4 * 8 {
             return Err(corrupt("truncated key header"));
         }
         let dim = data.get_u64_le() as usize;
         let sap_s = data.get_f64_le();
         let sap_beta = data.get_f64_le();
-        let hnsw = HnswParams {
-            m: data.get_u64_le() as usize,
-            m0: data.get_u64_le() as usize,
-            ef_construction: data.get_u64_le() as usize,
-            extend_candidates: data.get_u8() != 0,
-            keep_pruned: data.get_u8() != 0,
-            seed: data.get_u64_le(),
-        };
+        let hnsw = HnswParams::decode(&mut data);
+        hnsw.validate().map_err(|e| corrupt(&format!("hnsw parameters: {e}")))?;
         let seed = data.get_u64_le();
         let norm_scale = data.get_f64_le();
         let dce_len = data.get_u64_le() as usize;
@@ -75,7 +67,10 @@ impl DataOwner {
         }
         let dce = DceSecretKey::from_bytes(data.copy_to_bytes(dce_len))
             .map_err(|e| corrupt(&format!("dce key: {e}")))?;
-        let params = PpAnnParams { dim, sap_s, sap_beta, hnsw, seed, parallel_build: false };
+        if dce.dim() != dim {
+            return Err(corrupt(&format!("header dim {dim} != DCE key dim {}", dce.dim())));
+        }
+        let params = PpAnnParams { dim, sap_s, sap_beta, hnsw, seed };
         let key = OwnerSecretKey::from_parts(
             dce,
             SapEncryptor::new(SapKey::new(sap_s, sap_beta)),
@@ -159,6 +154,50 @@ mod tests {
         let owner = DataOwner::setup(PpAnnParams::new(8).with_seed(0x0DD), &data);
         let bytes = owner.to_key_bytes();
         assert_eq!((bytes.len(), fnv1a(&bytes)), (19_850, 0x30f2_96a7_dcfd_1942));
+    }
+
+    /// Byte offsets into the PPSK header of the fields the tests edit.
+    const DIM_AT: usize = 8;
+    const M_AT: usize = 32;
+    const M0_AT: usize = 40;
+    const RESERVED_AT: usize = 56;
+
+    fn small_owner_bytes() -> Vec<u8> {
+        let data = vec![vec![1.0, -2.0, 0.5], vec![3.0, 4.0, -1.0]];
+        DataOwner::setup(PpAnnParams::new(3).with_seed(7), &data).to_key_bytes().to_vec()
+    }
+
+    fn load_edited(at: usize, value: u64) -> Result<DataOwner, PersistError> {
+        let mut bytes = small_owner_bytes();
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        DataOwner::from_key_bytes(Bytes::from(bytes))
+    }
+
+    #[test]
+    fn invalid_hnsw_parameters_are_corrupt() {
+        for (at, value) in [(M0_AT, 4096), (M_AT, 1)] {
+            match load_edited(at, value) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains("hnsw"), "{msg}"),
+                other => panic!("expected Corrupt, got {:?}", other.map(|_| "an owner")),
+            }
+        }
+    }
+
+    #[test]
+    fn header_dim_must_match_the_dce_key() {
+        match load_edited(DIM_AT, 4) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("dim"), "{msg}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| "an owner")),
+        }
+    }
+
+    #[test]
+    fn retired_option_bytes_are_ignored_on_load() {
+        let mut bytes = small_owner_bytes();
+        assert_eq!(bytes[RESERVED_AT..RESERVED_AT + 2], [0, 1]);
+        bytes[RESERVED_AT..RESERVED_AT + 2].copy_from_slice(&[1, 0]);
+        let restored = DataOwner::from_key_bytes(Bytes::from(bytes)).unwrap();
+        assert_eq!(restored.to_key_bytes().to_vec(), small_owner_bytes());
     }
 
     #[test]

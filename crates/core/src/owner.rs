@@ -24,25 +24,13 @@ pub struct PpAnnParams {
     /// Master seed: key generation and all encryption randomness derive
     /// from it, making experiments reproducible.
     pub seed: u64,
-    /// Build the HNSW filter index with parallel workers. Faster for large
-    /// databases but not bit-deterministic across thread counts (see
-    /// [`ppann_hnsw::Hnsw::build_parallel`]); defaults to the sequential,
-    /// fully deterministic construction.
-    pub parallel_build: bool,
 }
 
 impl PpAnnParams {
     /// Sensible defaults for `dim`-dimensional data (β = 1, the low end of
     /// the admissible range; tune per dataset as in Figure 4).
     pub fn new(dim: usize) -> Self {
-        Self {
-            dim,
-            sap_s: 1024.0,
-            sap_beta: 1.0,
-            hnsw: HnswParams::default(),
-            seed: 0xACE,
-            parallel_build: false,
-        }
+        Self { dim, sap_s: 1024.0, sap_beta: 1.0, hnsw: HnswParams::default(), seed: 0xACE }
     }
 
     /// Replaces the seed.
@@ -60,12 +48,6 @@ impl PpAnnParams {
     /// Replaces the HNSW parameters.
     pub fn with_hnsw(mut self, hnsw: HnswParams) -> Self {
         self.hnsw = hnsw;
-        self
-    }
-
-    /// Enables parallel index construction.
-    pub fn with_parallel_build(mut self, parallel: bool) -> Self {
-        self.parallel_build = parallel;
         self
     }
 }
@@ -157,11 +139,7 @@ impl DataOwner {
         let normalized: Vec<Vec<f64>> = data.iter().map(|v| self.key.normalize(v)).collect();
         let sap_cts = self.key.sap.encrypt_batch(&normalized, self.params.seed ^ 0x5A9);
         let dce_cts = self.key.dce.encrypt_batch(&normalized, self.params.seed ^ 0xDCE);
-        let hnsw = if self.params.parallel_build {
-            Hnsw::build_parallel(self.params.dim, self.params.hnsw, &sap_cts)
-        } else {
-            Hnsw::build(self.params.dim, self.params.hnsw, &sap_cts)
-        };
+        let hnsw = Hnsw::build(self.params.dim, self.params.hnsw, &sap_cts);
         EncryptedDatabase::new(hnsw, dce_cts)
     }
 

@@ -124,128 +124,6 @@ impl Hnsw {
         index
     }
 
-    /// Bulk-builds an index with parallel workers.
-    ///
-    /// A deterministic sequential prefix (`max(1% of n, 256)` inserts) lays
-    /// down the upper layers, then worker threads insert the remainder under
-    /// a global write lock with lock-free *search* phases: each worker runs
-    /// the beam search for its vector against a read snapshot, then takes
-    /// the lock only to wire edges. Graph quality matches sequential
-    /// construction statistically (recall parity is tested), but edge sets
-    /// are not bit-identical across thread counts — use [`Hnsw::build`]
-    /// when determinism matters more than wall-clock.
-    pub fn build_parallel(dim: usize, params: HnswParams, vectors: &[Vec<f64>]) -> Self {
-        use std::sync::RwLock;
-        let n = vectors.len();
-        let prefix = (n / 100).max(256).min(n);
-        let mut index = Self::new(dim, params);
-        for v in &vectors[..prefix] {
-            index.insert(v);
-        }
-        if prefix == n {
-            return index;
-        }
-        // Pre-sample levels sequentially so the geometric distribution (and
-        // determinism of levels) is preserved regardless of worker timing.
-        let levels: Vec<usize> = (prefix..n).map(|_| index.sample_level()).collect();
-        let shared = RwLock::new(index);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let workers = available_threads_for_build().min(n - prefix).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    // Worker-owned scratch: the planning beam search under
-                    // the shared lock cannot touch the index's own scratch,
-                    // so each worker amortizes its own across inserts.
-                    let mut scratch = SearchScratch::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n - prefix {
-                            break;
-                        }
-                        let vector = &vectors[prefix + i];
-                        let level = levels[i];
-                        // Phase 1 (shared lock): beam-search candidate lists
-                        // per layer against the current graph snapshot.
-                        let plan = {
-                            let g = shared.read().expect("lock poisoned");
-                            g.plan_insertion(&mut scratch, vector, level)
-                        };
-                        // Phase 2 (exclusive lock): materialize the node.
-                        let mut g = shared.write().expect("lock poisoned");
-                        g.apply_insertion(vector, level, plan);
-                    }
-                });
-            }
-        });
-        shared.into_inner().expect("lock poisoned")
-    }
-
-    /// Search phase of a parallel insertion: per-layer candidate lists for
-    /// wiring, computed under a shared lock with caller-owned scratch (the
-    /// shared lock means `&self`, so the index's own scratch is off-limits).
-    fn plan_insertion(
-        &self,
-        scratch: &mut SearchScratch,
-        vector: &[f64],
-        level: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        let Some(entry) = self.entry else { return Vec::new() };
-        let top_level = self.adj.level(entry);
-        scratch.dist_comps = 0;
-        let mut ep = entry;
-        for layer in ((level + 1)..=top_level).rev() {
-            ep = self.greedy_closest(scratch, vector, ep, layer);
-        }
-        let mut plan = Vec::new();
-        let mut eps = vec![ep];
-        for layer in (0..=level.min(top_level)).rev() {
-            self.search_layer(scratch, vector, &eps, self.params.ef_construction, layer, true);
-            eps.clear();
-            eps.extend(scratch.out.iter().map(|nb| nb.id));
-            if eps.is_empty() {
-                eps.push(ep);
-            }
-            plan.push(scratch.out.clone());
-        }
-        self.publish(scratch.dist_comps);
-        plan.reverse(); // plan[layer] = candidates for that layer
-        plan
-    }
-
-    /// Wiring phase of a parallel insertion, under the exclusive lock.
-    /// Candidate distances were computed against a slightly stale snapshot;
-    /// neighbor selection re-runs against current data, which is exactly
-    /// what the sequential path does too.
-    fn apply_insertion(&mut self, vector: &[f64], level: usize, plan: Vec<Vec<Neighbor>>) {
-        let id = self.add_node(vector, level);
-        let Some(entry) = self.entry else {
-            self.entry = Some(id);
-            return;
-        };
-        let top_level = self.adj.level(entry);
-        let mut comps = 0;
-        for (layer, found) in plan.into_iter().enumerate() {
-            if layer > level.min(top_level) {
-                break;
-            }
-            let m = self.params.max_degree(layer);
-            let chosen = self.select_neighbors(&found, m, &mut comps);
-            for nb in &chosen {
-                if nb.id == id || self.adj.level(nb.id) < layer {
-                    continue;
-                }
-                self.adj.push_link(id, layer, nb.id);
-                self.adj.push_link(nb.id, layer, id);
-                self.shrink_if_needed(nb.id, layer);
-            }
-        }
-        self.publish(comps);
-        if level > top_level {
-            self.entry = Some(id);
-        }
-    }
-
     /// Appends `vector` as a live node on layers `0..=level`, unlinked,
     /// returning its id.
     fn add_node(&mut self, vector: &[f64], level: usize) -> u32 {
@@ -467,8 +345,10 @@ impl Hnsw {
 
     /// `SELECT-NEIGHBORS-HEURISTIC` (Algorithm 4): keeps candidates that are
     /// closer to the base point than to any already-selected neighbor, which
-    /// preserves edge diversity and graph navigability. Candidate distances
-    /// to the base point are already folded into `candidates`.
+    /// preserves edge diversity and graph navigability, then back-fills the
+    /// pruned ones up to `m` (the algorithm's `keepPrunedConnections`).
+    /// Candidate distances to the base point are already folded into
+    /// `candidates`.
     fn select_neighbors(
         &self,
         candidates: &[Neighbor],
@@ -494,13 +374,11 @@ impl Hnsw {
                 pruned.push(cand);
             }
         }
-        if self.params.keep_pruned {
-            for p in pruned {
-                if selected.len() >= m {
-                    break;
-                }
-                selected.push(p);
+        for p in pruned {
+            if selected.len() >= m {
+                break;
             }
+            selected.push(p);
         }
         selected
     }
@@ -736,11 +614,6 @@ impl Hnsw {
     }
 }
 
-/// Worker threads to use for parallel construction.
-pub(crate) fn available_threads_for_build() -> usize {
-    std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1)
-}
-
 impl std::fmt::Debug for Hnsw {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Hnsw")
@@ -891,48 +764,6 @@ mod tests {
         index.reset_distance_computations();
         index.search(&pts[0], 10, 50);
         assert!(index.distance_computations() > 0);
-    }
-
-    #[test]
-    fn parallel_build_reaches_sequential_recall() {
-        let pts = clustered(3000, 8, 18);
-        let queries = clustered(40, 8, 19);
-        let seq = Hnsw::build(8, HnswParams::default(), &pts);
-        let par = Hnsw::build_parallel(8, HnswParams::default(), &pts);
-        assert_eq!(par.len(), 3000);
-        let recall = |index: &Hnsw| {
-            let mut hit = 0usize;
-            for q in &queries {
-                let truth: Vec<u32> =
-                    exact_knn(index.store(), q, 10).iter().map(|n| n.id).collect();
-                let got: Vec<u32> = index.search(q, 10, 100).iter().map(|n| n.id).collect();
-                hit += truth.iter().filter(|t| got.contains(t)).count();
-            }
-            hit as f64 / (queries.len() * 10) as f64
-        };
-        let (rs, rp) = (recall(&seq), recall(&par));
-        assert!(rp > rs - 0.05, "parallel recall {rp} lags sequential {rs}");
-    }
-
-    #[test]
-    fn parallel_build_small_inputs() {
-        // Prefix covers everything: parallel path degenerates to sequential.
-        let pts = clustered(40, 4, 20);
-        let par = Hnsw::build_parallel(4, HnswParams::default(), &pts);
-        assert_eq!(par.len(), 40);
-        let hits = par.search(&pts[3], 1, 20);
-        assert_eq!(hits[0].id, 3);
-    }
-
-    #[test]
-    fn parallel_build_respects_degree_bounds() {
-        let pts = clustered(1200, 6, 21);
-        let par = Hnsw::build_parallel(6, HnswParams::default(), &pts);
-        for id in par.live_ids() {
-            for layer in 0..=par.node_level(id) {
-                assert!(par.links(id, layer).len() <= par.params().max_degree(layer));
-            }
-        }
     }
 
     #[test]

@@ -34,7 +34,6 @@ mod adjacency;
 mod bruteforce;
 mod comparison_search;
 mod graph;
-pub mod nsg;
 mod params;
 mod scratch;
 mod serial;
@@ -43,7 +42,6 @@ mod visited;
 
 pub use bruteforce::{exact_knn, exact_knn_ids, exact_knn_in};
 pub use graph::{Hnsw, Neighbor};
-pub use nsg::{Nsg, NsgParams};
 pub use params::HnswParams;
 pub use scratch::{ScratchPool, SearchScratch};
 pub use serial::SnapshotError;

@@ -1,5 +1,7 @@
 //! HNSW construction and search parameters.
 
+use bytes::{Buf, BufMut};
+
 /// Largest layer-0 degree [`HnswParams::validate`] accepts: three times
 /// the paper's `m0 = 80`. Every node owns an `(m0 + 2)`-word layer-0 row
 /// whatever its actual degree, so the bound caps a row at about 1 KiB.
@@ -19,26 +21,13 @@ pub struct HnswParams {
     pub m0: usize,
     /// Beam width while constructing (`efConstruction`).
     pub ef_construction: usize,
-    /// Extend candidate sets with neighbors-of-neighbors during selection
-    /// (Algorithm 4's `extendCandidates`).
-    pub extend_candidates: bool,
-    /// Back-fill pruned candidates up to `M` (Algorithm 4's
-    /// `keepPrunedConnections`).
-    pub keep_pruned: bool,
     /// Seed for the level sampler, making construction deterministic.
     pub seed: u64,
 }
 
 impl Default for HnswParams {
     fn default() -> Self {
-        Self {
-            m: 16,
-            m0: 32,
-            ef_construction: 200,
-            extend_candidates: false,
-            keep_pruned: true,
-            seed: 0x5EED,
-        }
+        Self { m: 16, m0: 32, ef_construction: 200, seed: 0x5EED }
     }
 }
 
@@ -60,6 +49,34 @@ impl HnswParams {
     /// Level-sampling normalization `mL = 1/ln(m)`.
     pub fn ml(&self) -> f64 {
         1.0 / (self.m as f64).ln()
+    }
+
+    /// Length of the block [`Self::encode`] writes.
+    pub const ENCODED_LEN: usize = 3 * 8 + 2 + 8;
+
+    /// Appends the parameter block that the HNSW snapshot and the owner's
+    /// key file share: `m`, `m0` and `ef_construction` as little-endian
+    /// u64s, two retired option bytes (once `extend_candidates` and
+    /// `keep_pruned`), then the seed. The retired bytes are written as 0
+    /// and 1, the values every earlier writer used by default, so files
+    /// stay byte-identical.
+    pub fn encode(&self, buf: &mut impl BufMut) {
+        buf.put_u64_le(self.m as u64);
+        buf.put_u64_le(self.m0 as u64);
+        buf.put_u64_le(self.ef_construction as u64);
+        buf.put_slice(&[0, 1]);
+        buf.put_u64_le(self.seed);
+    }
+
+    /// Reads a block written by [`Self::encode`], skipping the retired
+    /// bytes whatever they hold. The caller checks that
+    /// [`Self::ENCODED_LEN`] bytes remain and validates the result.
+    pub fn decode(data: &mut impl Buf) -> Self {
+        let m = data.get_u64_le() as usize;
+        let m0 = data.get_u64_le() as usize;
+        let ef_construction = data.get_u64_le() as usize;
+        data.advance(2);
+        Self { m, m0, ef_construction, seed: data.get_u64_le() }
     }
 
     /// Validates invariants (`2 ≤ m ≤ m0 ≤ 256`, beam ≥ 1).

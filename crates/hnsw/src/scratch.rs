@@ -14,7 +14,7 @@
 //! used scratch returns *bitwise identical* output (same ids, same order,
 //! same `f64` distance bits) as the same search through a fresh
 //! `SearchScratch::default()`. Every buffer is either generation-stamped
-//! (the visited tables) or fully overwritten/cleared before use, and the
+//! (the visited table) or fully overwritten/cleared before use, and the
 //! property is enforced by the `scratch_parity` proptest. DESIGN.md §6
 //! documents the contract.
 
@@ -23,7 +23,7 @@ use crate::visited::VisitedTable;
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
 
-/// Reusable search working set: visited tables, beam heaps, expansion
+/// Reusable search working set: a visited table, beam heaps, expansion
 /// buffers and a staging buffer for base vectors. One instance serves any
 /// number of searches against any number of indexes (tables and buffers
 /// grow to the largest graph seen and stay there).
@@ -31,8 +31,6 @@ use std::collections::BinaryHeap;
 pub struct SearchScratch {
     /// Generation-stamped visited marks (O(1) reset between searches).
     pub(crate) visited: VisitedTable,
-    /// Second stamp table: NSG's "already expanded" set.
-    pub(crate) expanded: VisitedTable,
     /// Beam frontier, closest first.
     pub(crate) candidates: BinaryHeap<ClosestFirst>,
     /// Running result set, farthest first (bounded to `ef`).
@@ -63,12 +61,11 @@ impl SearchScratch {
 
     /// Approximate resident heap bytes across every buffer — what the
     /// service's `scratch_bytes` gauge aggregates per worker. The model
-    /// (DESIGN.md §6): `marks(n)` for each stamp table plus `ef`-bounded
+    /// (DESIGN.md §6): `marks(n)` for the stamp table plus `ef`-bounded
     /// beam and expansion buffers, so
-    /// `resident ≈ marks(n)·4·2 + ef·(16 + 16 + 16) + degree·(4 + 8)`.
+    /// `resident ≈ marks(n)·4 + ef·(16 + 16 + 16) + degree·(4 + 8)`.
     pub fn resident_bytes(&self) -> usize {
         self.visited.resident_bytes()
-            + self.expanded.resident_bytes()
             + self.candidates.capacity() * std::mem::size_of::<ClosestFirst>()
             + self.results.capacity() * std::mem::size_of::<FarthestFirst>()
             + self.fresh.capacity() * std::mem::size_of::<u32>()
@@ -101,7 +98,7 @@ thread_local! {
 
 /// A per-thread freelist of [`SearchScratch`] instances.
 ///
-/// [`crate::Hnsw::search`] (and the NSG/brute-force equivalents) borrow a
+/// [`crate::Hnsw::search`] (and the brute-force scanner) borrow a
 /// scratch from here and return it afterwards, so even callers that never
 /// heard of scratch reuse get allocation-free warm searches on a steady
 /// thread. `thread_local!` storage makes check-out/check-in free of

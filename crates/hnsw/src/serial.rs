@@ -68,12 +68,7 @@ impl Hnsw {
         buf.put_slice(MAGIC);
         buf.put_u32_le(VERSION);
         buf.put_u64_le(store.dim() as u64);
-        buf.put_u64_le(params.m as u64);
-        buf.put_u64_le(params.m0 as u64);
-        buf.put_u64_le(params.ef_construction as u64);
-        buf.put_u8(params.extend_candidates as u8);
-        buf.put_u8(params.keep_pruned as u8);
-        buf.put_u64_le(params.seed);
+        params.encode(&mut buf);
         buf.put_u64_le(self.entry_point().map_or(u64::MAX, |e| e as u64));
         buf.put_u64_le(self.len() as u64);
         buf.put_u64_le(n as u64);
@@ -120,16 +115,9 @@ impl Hnsw {
                 Ok(())
             }
         };
-        need(&data, 8 * 8 + 2)?;
+        need(&data, 8 + HnswParams::ENCODED_LEN + 3 * 8)?;
         let dim = data.get_u64_le() as usize;
-        let params = HnswParams {
-            m: data.get_u64_le() as usize,
-            m0: data.get_u64_le() as usize,
-            ef_construction: data.get_u64_le() as usize,
-            extend_candidates: data.get_u8() != 0,
-            keep_pruned: data.get_u8() != 0,
-            seed: data.get_u64_le(),
-        };
+        let params = HnswParams::decode(&mut data);
         let entry_raw = data.get_u64_le();
         let live = data.get_u64_le() as usize;
         let n_nodes = data.get_u64_le() as usize;
@@ -206,6 +194,22 @@ impl Hnsw {
 mod tests {
     use super::*;
     use ppann_linalg::{seeded_rng, uniform_vec};
+
+    #[test]
+    fn retired_option_bytes_are_ignored_on_load() {
+        let mut rng = seeded_rng(72);
+        let pts: Vec<Vec<f64>> = (0..200).map(|_| uniform_vec(&mut rng, 6, -1.0, 1.0)).collect();
+        let index = Hnsw::build(6, HnswParams::default(), &pts);
+        let original = index.to_bytes();
+        // magic, version, dim, m, m0, ef_construction, then the two bytes.
+        let at = 4 + 4 + 8 + 3 * 8;
+        assert_eq!(original[at..at + 2], [0, 1]);
+        let mut edited = original.to_vec();
+        edited[at..at + 2].copy_from_slice(&[1, 0]);
+        let restored = Hnsw::from_bytes(Bytes::from(edited)).unwrap();
+        assert_eq!(restored.to_bytes(), original);
+        assert_eq!(restored.search(&pts[9], 5, 40), index.search(&pts[9], 5, 40));
+    }
 
     #[test]
     fn roundtrip_preserves_results() {

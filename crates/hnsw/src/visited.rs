@@ -36,12 +36,6 @@ impl VisitedTable {
         }
     }
 
-    /// Whether `id` is marked in the current generation.
-    #[inline]
-    pub fn contains(&self, id: u32) -> bool {
-        self.marks.get(id as usize).is_some_and(|&m| m == self.stamp)
-    }
-
     /// Resident heap bytes held by the mark array.
     pub fn resident_bytes(&self) -> usize {
         self.marks.capacity() * std::mem::size_of::<u32>()

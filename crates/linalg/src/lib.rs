@@ -27,6 +27,7 @@ mod matrix;
 mod parallel;
 mod permutation;
 mod random;
+mod topk;
 pub mod vector;
 
 pub use lu::{LinalgError, LuDecomposition};
@@ -37,3 +38,4 @@ pub use random::{
     gaussian, gaussian_vec, random_invertible, random_sign_vec, random_unit_vector, seeded_rng,
     uniform_vec,
 };
+pub use topk::{Ranking, TopK};
