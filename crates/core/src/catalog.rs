@@ -33,19 +33,17 @@
 
 use crate::index::EncryptedDatabase;
 use crate::persist::{
-    atomic_write, collection_container_bytes, collection_snapshot_bytes, load_snapshot_bytes,
-    CollectionMeta, PersistError, SNAPSHOT_EXT,
+    open_snapshot, write_collection_snapshot, CollectionMeta, PersistError, SnapshotFile,
+    SNAPSHOT_EXT,
 };
 use crate::query::EncryptedQuery;
 use crate::scratch::QueryScratch;
 use crate::server::{CloudServer, SearchOutcome, SearchParams};
-use crate::wal::{
-    replay, snapshot_id, wal_path_for, DurabilityOptions, SnapshotId, WalRecord, WalWriter,
-};
-use bytes::Bytes;
+use crate::wal::{replay, wal_path_for, DurabilityOptions, SnapshotId, WalRecord, WalWriter};
 use parking_lot::{Mutex, RwLock};
 use ppann_dce::DceCiphertext;
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -119,6 +117,12 @@ pub fn validate_collection_name(name: &str) -> Result<(), CatalogError> {
 struct CollectionWal {
     state: WalState,
     snapshot_path: PathBuf,
+    /// The open snapshot file whose bytes the current seal names: the
+    /// handle the load parsed and hashed, or the temp file compaction
+    /// wrote and renamed into place. Replication serves bootstrap chunks
+    /// from it, so a later compaction (which publishes a new inode by
+    /// rename) can never tear a transfer. `None` once retired.
+    snapshot: Option<Arc<File>>,
     opts: DurabilityOptions,
     compactions: u64,
 }
@@ -142,30 +146,42 @@ enum WalState {
 }
 
 impl CollectionWal {
-    /// Writes a fresh sealed log for the snapshot identity `base`.
+    /// Writes a fresh sealed log for the snapshot identity `base`, the
+    /// seal of the bytes of the open `snapshot`.
     fn new_sealed(
         snapshot_path: &Path,
+        snapshot: File,
         base: SnapshotId,
         opts: DurabilityOptions,
     ) -> std::io::Result<Self> {
         let writer = WalWriter::create_sealed(&wal_path_for(snapshot_path), base, opts.fsync)?;
-        Ok(Self {
-            state: WalState::Open(writer),
-            snapshot_path: snapshot_path.to_path_buf(),
-            opts,
-            compactions: 0,
-        })
+        Ok(Self::open(snapshot_path, snapshot, writer, opts))
     }
 
-    /// Opens an existing (already replayed and repaired) log for append.
-    fn open_existing(snapshot_path: &Path, opts: DurabilityOptions) -> std::io::Result<Self> {
+    /// Opens an existing (already replayed and repaired) log for append;
+    /// its checkpoint names the bytes of the open `snapshot`.
+    fn open_existing(
+        snapshot_path: &Path,
+        snapshot: File,
+        opts: DurabilityOptions,
+    ) -> std::io::Result<Self> {
         let writer = WalWriter::open_append(&wal_path_for(snapshot_path), opts.fsync)?;
-        Ok(Self {
+        Ok(Self::open(snapshot_path, snapshot, writer, opts))
+    }
+
+    fn open(
+        snapshot_path: &Path,
+        snapshot: File,
+        writer: WalWriter,
+        opts: DurabilityOptions,
+    ) -> Self {
+        Self {
             state: WalState::Open(writer),
             snapshot_path: snapshot_path.to_path_buf(),
+            snapshot: Some(Arc::new(snapshot)),
             opts,
             compactions: 0,
-        })
+        }
     }
 
     /// The writer every durable mutation appends through. A pending
@@ -212,12 +228,13 @@ impl CollectionWal {
 }
 
 /// What a replication primary needs to serve one follower pull: the
-/// snapshot identity the collection's log is sealed to, the log's
-/// current acknowledged length, and where both files live. Taken as one
-/// consistent sample under the WAL mutex ([`Collection::replication_source`])
-/// — the primary then reads file bytes *below* `log_len` only, which by
-/// the WAL's dirty-flag discipline are always whole acknowledged
-/// records.
+/// snapshot identity the collection's log is sealed to, the open
+/// snapshot file those bytes are, the log's current acknowledged length,
+/// and where the files live. Taken as one consistent sample under the WAL
+/// mutex ([`Collection::replication_source`]) — the primary then reads
+/// snapshot bytes from the pinned handle, and log bytes *below* `log_len`
+/// only, which by the WAL's dirty-flag discipline are always whole
+/// acknowledged records.
 #[derive(Clone, Debug)]
 pub struct ReplicationSource {
     /// Identity of the snapshot the log extends (what followers must
@@ -228,6 +245,10 @@ pub struct ReplicationSource {
     pub log_len: u64,
     /// The collection's snapshot file.
     pub snapshot_path: PathBuf,
+    /// The open snapshot whose bytes `seal` names. Compaction publishes a
+    /// new snapshot by rename, so this handle keeps reading the sealed
+    /// bytes after the path has moved on.
+    pub snapshot: Arc<File>,
 }
 
 /// Why a replicated record was refused by [`Collection::apply_replicated`].
@@ -431,6 +452,7 @@ impl Collection {
                 seal: writer.base(),
                 log_len: writer.log_len(),
                 snapshot_path: wal.snapshot_path.clone(),
+                snapshot: Arc::clone(wal.snapshot.as_ref()?),
             }),
             WalState::NeedsReseal(_) | WalState::Dropped => None,
         }
@@ -516,8 +538,11 @@ impl Collection {
     /// The compaction sequence, under the WAL mutex. Crash-safe by
     /// ordering alone:
     ///
-    /// 1. Serialize the server (every logged record is now in the image
-    ///    — the mutex guarantees no mutation slips in between).
+    /// 1. Stream the server's database into `<file>.tmp` under its read
+    ///    guard (every logged record is in it — the mutex excludes every
+    ///    mutation, so searches keep running and nothing slips in). The
+    ///    image never exists in memory: the transient cost is the write
+    ///    buffer, and the seal is computed in the same pass.
     /// 2. Atomically replace the snapshot. A crash before this rename
     ///    leaves old snapshot + old log (nothing happened); a crash
     ///    after it leaves *new* snapshot + old log, whose checkpoint no
@@ -536,11 +561,11 @@ impl Collection {
                 "collection was dropped",
             )));
         }
-        let image = self.server.read().database().to_bytes();
         let meta = CollectionMeta { name: self.name.clone(), shards: 1 };
-        let container = collection_container_bytes(&meta, &image);
-        atomic_write(&wal.snapshot_path, &container)?;
-        wal.state = WalState::NeedsReseal(snapshot_id(&container));
+        let (seal, file) =
+            write_collection_snapshot(&wal.snapshot_path, &meta, self.server.read().database())?;
+        wal.snapshot = Some(Arc::new(file));
+        wal.state = WalState::NeedsReseal(seal);
         wal.writer()?;
         Ok(())
     }
@@ -571,6 +596,7 @@ impl Collection {
             }
         }
         wal.state = WalState::Dropped;
+        wal.snapshot = None;
         Ok(())
     }
 }
@@ -661,17 +687,16 @@ impl Catalog {
             return Err(DurableCatalogError::Catalog(CatalogError::Duplicate(name.to_string())));
         }
         let meta = CollectionMeta { name: name.to_string(), shards: 1 };
-        let container = collection_snapshot_bytes(&meta, &db);
         let path = dir.join(format!("{name}.{SNAPSHOT_EXT}"));
         let cleanup = || {
             std::fs::remove_file(&path).ok();
             std::fs::remove_file(wal_path_for(&path)).ok();
         };
-        atomic_write(&path, &container).map_err(|e| {
+        let (seal, file) = write_collection_snapshot(&path, &meta, &db).map_err(|e| {
             cleanup();
             DurableCatalogError::Persist(e)
         })?;
-        let wal = CollectionWal::new_sealed(&path, snapshot_id(&container), opts).map_err(|e| {
+        let wal = CollectionWal::new_sealed(&path, file, seal, opts).map_err(|e| {
             cleanup();
             DurableCatalogError::Persist(e.into())
         })?;
@@ -796,10 +821,11 @@ impl Catalog {
                 .ok_or_else(|| corrupt("file stem is not UTF-8".into()))?
                 .to_string();
             validate_collection_name(&stem).map_err(|e| corrupt(e.to_string()))?;
-            let raw = std::fs::read(&path)?;
-            let base = snapshot_id(&raw);
-            let (meta, mut db) =
-                load_snapshot_bytes(Bytes::from(raw)).map_err(|e| corrupt(e.to_string()))?;
+            let SnapshotFile { meta, mut db, seal: base, file } =
+                open_snapshot(&path).map_err(|e| match e {
+                    PersistError::Io(e) => PersistError::Io(e),
+                    e => corrupt(e.to_string()),
+                })?;
             if let Some(meta) = meta {
                 if meta.name != stem {
                     return Err(corrupt(format!(
@@ -819,9 +845,9 @@ impl Catalog {
             let wal = match durability {
                 None => None,
                 Some(opts) => Some(if log_usable {
-                    CollectionWal::open_existing(&path, opts)?
+                    CollectionWal::open_existing(&path, file, opts)?
                 } else {
-                    CollectionWal::new_sealed(&path, base, opts)?
+                    CollectionWal::new_sealed(&path, file, base, opts)?
                 }),
             };
             let mut map = catalog.inner.write();
@@ -1239,9 +1265,10 @@ mod tests {
             coll.insert(c_sap, c_dce).unwrap();
             // Simulate the crash window: the snapshot is rewritten (as
             // compaction's step 2 does) but the log is NOT resealed.
-            let image = catalog.get("c").unwrap().server.read().database().to_bytes();
             let meta = CollectionMeta { name: "c".into(), shards: 1 };
-            atomic_write(&dir.join("c.ppdb"), &collection_container_bytes(&meta, &image)).unwrap();
+            let coll = catalog.get("c").unwrap();
+            write_collection_snapshot(&dir.join("c.ppdb"), &meta, coll.server.read().database())
+                .unwrap();
         }
         let (reloaded, reports) = Catalog::load_dir_durable(&dir, opts).unwrap();
         assert!(reports[0].discarded, "stale log must be discarded");
@@ -1425,7 +1452,7 @@ mod tests {
         drop((coll, durable));
 
         let raw = std::fs::read(dir.join("old.ppdb")).unwrap();
-        let (meta, _) = load_snapshot_bytes(Bytes::from(raw)).unwrap();
+        let (meta, _) = crate::persist::load_snapshot_bytes(raw).unwrap();
         assert_eq!(meta.unwrap().shards, 1, "compaction rewrites the retired count");
         let (reloaded, _) = Catalog::load_dir_durable(&dir, opts).unwrap();
         assert_eq!(answers(&reloaded.get("old").unwrap()), expected, "reload after compact");

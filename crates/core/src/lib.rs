@@ -78,8 +78,9 @@ pub use heap::SecureTopK;
 pub use index::EncryptedDatabase;
 pub use owner::{DataOwner, OwnerSecretKey, PpAnnParams};
 pub use persist::{
-    atomic_write, collection_container_bytes, collection_snapshot_bytes, load_snapshot,
-    load_snapshot_bytes, save_collection_snapshot, CollectionMeta, PersistError, SNAPSHOT_EXT,
+    atomic_write, collection_snapshot_bytes, load_snapshot, load_snapshot_bytes, open_snapshot,
+    read_snapshot, save_collection_snapshot, write_collection_snapshot, write_collection_to,
+    CollectionMeta, PersistError, SnapshotFile, SNAPSHOT_EXT,
 };
 pub use query::EncryptedQuery;
 pub use scratch::{QueryScratch, QueryScratchPool};

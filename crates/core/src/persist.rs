@@ -30,17 +30,35 @@
 //! written before collections existed keeps working. The
 //! `v1_*`-prefixed tests below pin the v1 byte layout so the container
 //! cannot drift under existing snapshots.
+//!
+//! There is one codec per container and it streams: the writers take any
+//! `Write` and write each length prefix from an exact `encoded_len`, the
+//! readers take any `Read` plus the length the caller knows the input has
+//! and check every length a header claims against it before allocating.
+//! Files are written through [`atomic_write`] and read by [`open_snapshot`]
+//! through one fixed buffer, with the [`SnapshotId`] seal computed in the
+//! same pass, so neither holds an image of the file in memory; the
+//! `to_bytes`/`from_bytes` forms are the same code over a `Vec`/slice.
 
 use crate::index::EncryptedDatabase;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wal::{sync_dir, tmp_sibling, SealHasher, SnapshotId};
+use bytes::BufMut;
+#[cfg(test)]
+use bytes::{Bytes, BytesMut};
 use ppann_dce::DceCiphertext;
-use ppann_hnsw::Hnsw;
-use std::io::{Read, Write};
+use ppann_hnsw::{read_f64s, write_f64s, Hnsw, SnapshotError};
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"PPDB";
 const VERSION: u32 = 1;
 const VERSION_COLLECTION: u32 = 2;
+
+/// Bytes of the one buffer between a snapshot file and its codec, on load
+/// and on write: the whole transient memory of either beyond the parsed
+/// database.
+const SNAPSHOT_IO_BUF: usize = 256 << 10;
 
 /// File extension of collection snapshots discovered by a `--data-dir`
 /// deployment (`<name>.ppdb`).
@@ -70,87 +88,165 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-impl EncryptedDatabase {
-    /// Serializes the full encrypted database.
-    pub fn to_bytes(&self) -> Bytes {
-        let hnsw_bytes = self.hnsw().to_bytes();
-        let dce = self.dce_ciphertexts();
-        let comp_dim = dce.first().map_or(0, |c| c.component_dim());
-        let mut buf = BytesMut::with_capacity(32 + hnsw_bytes.len() + dce.len() * comp_dim * 4 * 8);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(hnsw_bytes.len() as u64);
-        buf.put_slice(&hnsw_bytes);
-        buf.put_u64_le(dce.len() as u64);
-        buf.put_u64_le(comp_dim as u64);
-        for ct in dce {
-            for comp in ct.components() {
-                for v in comp {
-                    buf.put_f64_le(*v);
-                }
-            }
+fn corrupt(msg: &str) -> PersistError {
+    PersistError::Corrupt(msg.to_string())
+}
+
+/// The unread part of one container of known length: a field the
+/// container cannot hold fails as [`PersistError::Corrupt`] with the
+/// caller's message before it reaches the reader.
+struct Section<'r, R: ?Sized> {
+    r: &'r mut R,
+    left: u64,
+}
+
+impl<R: Read + ?Sized> Section<'_, R> {
+    fn fill(&mut self, buf: &mut [u8], short: &str) -> Result<(), PersistError> {
+        if self.left < buf.len() as u64 {
+            return Err(corrupt(short));
         }
-        buf.freeze()
+        self.r.read_exact(buf)?;
+        self.left -= buf.len() as u64;
+        Ok(())
     }
 
-    /// Restores a database serialized by [`Self::to_bytes`].
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, PersistError> {
-        let err = |msg: &str| PersistError::Corrupt(msg.to_string());
-        if data.remaining() < 8 || &data.copy_to_bytes(4)[..] != MAGIC {
-            return Err(err("bad magic"));
+    fn u16(&mut self, short: &str) -> Result<u16, PersistError> {
+        let mut b = [0u8; 2];
+        self.fill(&mut b, short)?;
+        Ok(u16::from_le_bytes(b))
+    }
+
+    fn u64(&mut self, short: &str) -> Result<u64, PersistError> {
+        let mut b = [0u8; 8];
+        self.fill(&mut b, short)?;
+        Ok(u64::from_le_bytes(b))
+    }
+
+    /// Magic and version; `short` names a header too short to hold them.
+    fn header(&mut self, short: &str) -> Result<u32, PersistError> {
+        let mut head = [0u8; 8];
+        self.fill(&mut head, short)?;
+        if &head[..4] != MAGIC {
+            return Err(corrupt("bad magic"));
         }
-        if data.get_u32_le() != VERSION {
-            return Err(err("unsupported version"));
+        Ok(u32::from_le_bytes(head[4..].try_into().unwrap()))
+    }
+
+    /// Consumes what the container holds past its last field.
+    fn skip_rest(&mut self) -> Result<(), PersistError> {
+        let rest = self.left;
+        if io::copy(&mut (&mut *self.r).take(rest), &mut io::sink())? != rest {
+            return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
         }
-        if data.remaining() < 8 {
-            return Err(err("truncated header"));
+        self.left = 0;
+        Ok(())
+    }
+}
+
+impl EncryptedDatabase {
+    /// Exact length in bytes of the v1 image [`Self::write_to`] writes.
+    pub fn encoded_len(&self) -> usize {
+        let dce: usize = self.dce_ciphertexts().iter().map(|ct| ct.len_scalars() * 8).sum();
+        8 + 8 + self.hnsw().encoded_len() + 16 + dce
+    }
+
+    /// Streams the full encrypted database to `w` as a v1 image.
+    pub fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+        let dce = self.dce_ciphertexts();
+        let mut head = Vec::with_capacity(16);
+        head.put_slice(MAGIC);
+        head.put_u32_le(VERSION);
+        head.put_u64_le(self.hnsw().encoded_len() as u64);
+        w.write_all(&head)?;
+        self.hnsw().write_to(w)?;
+        head.clear();
+        head.put_u64_le(dce.len() as u64);
+        head.put_u64_le(dce.first().map_or(0, |c| c.component_dim()) as u64);
+        w.write_all(&head)?;
+        for ct in dce {
+            for comp in ct.components() {
+                write_f64s(w, comp)?;
+            }
         }
-        let hnsw_len = data.get_u64_le() as usize;
-        if data.remaining() < hnsw_len {
-            return Err(err("truncated index"));
+        Ok(())
+    }
+
+    /// Serializes the full encrypted database: [`Self::write_to`] into a
+    /// `Vec`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.write_to(&mut buf).expect("writing to a Vec cannot fail");
+        buf
+    }
+
+    /// Restores a database serialized by [`Self::to_bytes`]:
+    /// [`Self::read_from`] over a byte slice.
+    pub fn from_bytes(data: impl AsRef<[u8]>) -> Result<Self, PersistError> {
+        let data = data.as_ref();
+        Self::read_from(&mut &data[..], data.len() as u64)
+    }
+
+    /// Restores a v1 image from the next `len` bytes of `r` (the length
+    /// the caller knows the image spans), consuming exactly `len` bytes.
+    pub fn read_from<R: Read + ?Sized>(r: &mut R, len: u64) -> Result<Self, PersistError> {
+        let mut section = Section { r, left: len };
+        if section.header("bad magic")? != VERSION {
+            return Err(corrupt("unsupported version"));
         }
-        let hnsw = Hnsw::from_bytes(data.copy_to_bytes(hnsw_len))
-            .map_err(|e| err(&format!("hnsw: {e}")))?;
-        if data.remaining() < 16 {
-            return Err(err("truncated ciphertext header"));
+        let db = Self::read_v1_body(&mut section)?;
+        section.skip_rest()?;
+        Ok(db)
+    }
+
+    /// Everything of a v1 image after its magic and version.
+    fn read_v1_body<R: Read + ?Sized>(data: &mut Section<'_, R>) -> Result<Self, PersistError> {
+        let hnsw_len = data.u64("truncated header")?;
+        if data.left < hnsw_len {
+            return Err(corrupt("truncated index"));
         }
-        let n = data.get_u64_le() as usize;
-        let comp_dim = data.get_u64_le() as usize;
+        let hnsw_len = usize::try_from(hnsw_len).map_err(|_| corrupt("truncated index"))?;
+        let hnsw = Hnsw::read_from(data.r, hnsw_len).map_err(|e| match e {
+            SnapshotError::Io(kind) => PersistError::Io(kind.into()),
+            e => corrupt(&format!("hnsw: {e}")),
+        })?;
+        data.left -= hnsw_len as u64;
+        let n = data.u64("truncated ciphertext header")?;
+        let comp_dim = data.u64("truncated ciphertext header")?;
         let bytes = n
             .checked_mul(comp_dim)
             .and_then(|f| f.checked_mul(4 * 8))
-            .ok_or_else(|| err("ciphertext count × dimension overflows"))?;
-        if data.remaining() < bytes {
-            return Err(err("truncated ciphertexts"));
+            .ok_or_else(|| corrupt("ciphertext count × dimension overflows"))?;
+        if data.left < bytes {
+            return Err(corrupt("truncated ciphertexts"));
         }
-        let mut dce = Vec::with_capacity(n);
+        if hnsw.capacity_slots() as u64 != n {
+            return Err(corrupt("index/ciphertext misalignment"));
+        }
+        let comp_dim = usize::try_from(comp_dim).map_err(|_| corrupt("truncated ciphertexts"))?;
+        let mut dce = Vec::with_capacity(hnsw.capacity_slots());
         for _ in 0..n {
             let mut comps: [Vec<f64>; 4] = Default::default();
             for comp in &mut comps {
-                comp.reserve(comp_dim);
-                for _ in 0..comp_dim {
-                    comp.push(data.get_f64_le());
-                }
+                read_f64s(data.r, comp_dim, comp)?;
             }
             let [a, b, c, d] = comps;
             dce.push(DceCiphertext::from_components(a, b, c, d));
         }
-        if hnsw.capacity_slots() != dce.len() {
-            return Err(err("index/ciphertext misalignment"));
-        }
+        data.left -= bytes;
         Ok(EncryptedDatabase::new(hnsw, dce))
     }
 
     /// Writes the snapshot to a file (atomically — see [`atomic_write`]).
     pub fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        atomic_write(path, &self.to_bytes())
+        atomic_write(path, |w| self.write_to(w)).map(drop)
     }
 
-    /// Loads a snapshot from a file.
+    /// Loads a v1 snapshot from a file, streaming it through one fixed
+    /// buffer.
     pub fn load_from(path: &Path) -> Result<Self, PersistError> {
-        let mut buf = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut buf)?;
-        Self::from_bytes(Bytes::from(buf))
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        Self::read_from(&mut BufReader::with_capacity(SNAPSHOT_IO_BUF, file), len)
     }
 }
 
@@ -168,114 +264,175 @@ pub struct CollectionMeta {
     pub shards: u16,
 }
 
-/// Serializes one named collection as a v2 `PPDB` container: metadata
-/// header, then the complete v1 image of `db`.
-pub fn collection_snapshot_bytes(meta: &CollectionMeta, db: &EncryptedDatabase) -> Bytes {
-    collection_container_bytes(meta, &db.to_bytes())
-}
-
-/// [`collection_snapshot_bytes`] over a pre-serialized v1 database
-/// image — what WAL compaction uses, which serializes the collection's
-/// server under its shared lock rather than owning an
-/// [`EncryptedDatabase`].
-pub fn collection_container_bytes(meta: &CollectionMeta, inner: &[u8]) -> Bytes {
+/// Streams one named collection to `w` as a v2 `PPDB` container:
+/// metadata header, then the complete v1 image of `db`.
+pub fn write_collection_to<W: Write + ?Sized>(
+    w: &mut W,
+    meta: &CollectionMeta,
+    db: &EncryptedDatabase,
+) -> io::Result<()> {
     let name = meta.name.as_bytes();
     assert!(name.len() <= u16::MAX as usize, "collection name too long to snapshot");
-    let mut buf = BytesMut::with_capacity(8 + 2 + name.len() + 2 + 8 + inner.len());
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_COLLECTION);
-    buf.put_u16_le(name.len() as u16);
-    buf.put_slice(name);
-    buf.put_u16_le(meta.shards);
-    buf.put_u64_le(inner.len() as u64);
-    buf.put_slice(inner);
-    buf.freeze()
+    let mut head = Vec::with_capacity(8 + 2 + name.len() + 2 + 8);
+    head.put_slice(MAGIC);
+    head.put_u32_le(VERSION_COLLECTION);
+    head.put_u16_le(name.len() as u16);
+    head.put_slice(name);
+    head.put_u16_le(meta.shards);
+    head.put_u64_le(db.encoded_len() as u64);
+    w.write_all(&head)?;
+    db.write_to(w)
+}
+
+/// Serializes one named collection as a v2 `PPDB` container:
+/// [`write_collection_to`] into a `Vec`.
+pub fn collection_snapshot_bytes(meta: &CollectionMeta, db: &EncryptedDatabase) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(20 + meta.name.len() + db.encoded_len());
+    write_collection_to(&mut buf, meta, db).expect("writing to a Vec cannot fail");
+    buf
 }
 
 /// Writes a v2 collection snapshot to `path` (atomically — see
-/// [`atomic_write`]).
+/// [`atomic_write`]), returning the seal of the bytes written and the
+/// open handle of the published file.
+pub fn write_collection_snapshot(
+    path: &Path,
+    meta: &CollectionMeta,
+    db: &EncryptedDatabase,
+) -> Result<(SnapshotId, File), PersistError> {
+    atomic_write(path, |w| write_collection_to(w, meta, db))
+}
+
+/// [`write_collection_snapshot`] for callers that keep neither the seal
+/// nor the handle.
 pub fn save_collection_snapshot(
     path: &Path,
     meta: &CollectionMeta,
     db: &EncryptedDatabase,
 ) -> Result<(), PersistError> {
-    atomic_write(path, &collection_snapshot_bytes(meta, db))
+    write_collection_snapshot(path, meta, db).map(drop)
 }
 
-/// Replaces the file at `path` with `bytes` atomically: the image is
-/// written to `<file>.tmp` in the same directory, flushed and fsynced,
-/// renamed over `path`, and the directory fsynced. A crash at any
-/// instant leaves either the previous file or the complete new one —
-/// never a half-written snapshot destroying the last good state (the
-/// in-place `File::create` this replaces truncated the old snapshot
-/// before the first new byte landed). Leftover `.tmp` files from a
-/// crashed attempt are invisible to `Catalog::load_dir` (which filters
-/// on the `.ppdb` extension) and simply overwritten next time.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    let tmp = crate::wal::tmp_sibling(path);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
+/// Replaces the file at `path` with what `write` streams, atomically: the
+/// bytes go through one fixed buffer into `<file>.tmp` in the same
+/// directory, which is flushed, fsynced, renamed over `path`, and the
+/// directory fsynced. A crash at any instant leaves either the previous
+/// file or the complete new one — never a half-written snapshot
+/// destroying the last good state (the in-place `File::create` this
+/// replaces truncated the old snapshot before the first new byte landed).
+/// A failure before the rename removes the partial temp file, so a full
+/// disk does not keep an image-sized leftover holding the space the log
+/// then needs; a directory squatting on the temp path is never removed.
+/// Leftover `.tmp` files from a crashed attempt are invisible to
+/// `Catalog::load_dir` (which filters on the `.ppdb` extension) and
+/// simply overwritten next time.
+///
+/// Returns the [`SnapshotId`] of the bytes written, computed in the same
+/// pass, and the open (readable) handle of the published file.
+pub fn atomic_write(
+    path: &Path,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(SnapshotId, File), PersistError> {
+    let tmp = tmp_sibling(path);
+    let file = OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&tmp)?;
+    let staged = stage(&file, write).and_then(|seal| std::fs::rename(&tmp, path).map(|()| seal));
+    let seal = staged.inspect_err(|_| {
+        std::fs::remove_file(&tmp).ok();
+    })?;
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        crate::wal::sync_dir(dir)?;
+        sync_dir(dir)?;
     }
-    Ok(())
+    Ok((seal, file))
 }
 
-/// Decodes either container version: a v2 snapshot yields its embedded
-/// [`CollectionMeta`]; a v1 snapshot yields `None` (anonymous database —
-/// the caller decides the collection name, `"default"` for a single
-/// `--db` file or the file stem in a `--data-dir`).
-pub fn load_snapshot_bytes(
-    mut data: Bytes,
+/// Streams `write` into `file` through the sealing buffer and fsyncs it.
+fn stage(
+    file: &File,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<SnapshotId> {
+    let mut out = SealHasher::new(BufWriter::with_capacity(SNAPSHOT_IO_BUF, file));
+    write(&mut out)?;
+    out.flush()?;
+    let seal = out.seal();
+    drop(out);
+    file.sync_all()?;
+    Ok(seal)
+}
+
+/// Decodes either container version from the next `len` bytes of `r`
+/// (the length the caller knows the input has), consuming exactly `len`
+/// bytes: a v2 snapshot yields its embedded [`CollectionMeta`]; a v1
+/// snapshot yields `None` (anonymous database — the caller decides the
+/// collection name, `"default"` for a single `--db` file or the file stem
+/// in a `--data-dir`).
+pub fn read_snapshot<R: Read + ?Sized>(
+    r: &mut R,
+    len: u64,
 ) -> Result<(Option<CollectionMeta>, EncryptedDatabase), PersistError> {
-    let err = |msg: &str| PersistError::Corrupt(msg.to_string());
-    if data.remaining() < 8 {
-        return Err(err("truncated header"));
-    }
-    // Peek magic + version without consuming: v1 parsing re-reads both.
-    if &data[..4] != MAGIC {
-        return Err(err("bad magic"));
-    }
-    let version = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
-    match version {
-        VERSION => Ok((None, EncryptedDatabase::from_bytes(data)?)),
+    let mut data = Section { r, left: len };
+    let loaded = match data.header("truncated header")? {
+        VERSION => (None, EncryptedDatabase::read_v1_body(&mut data)?),
         VERSION_COLLECTION => {
-            data.advance(8);
-            if data.remaining() < 2 {
-                return Err(err("truncated collection name length"));
+            let name_len = data.u16("truncated collection name length")?;
+            let mut name = vec![0u8; name_len as usize];
+            data.fill(&mut name, "truncated collection name")?;
+            let name =
+                String::from_utf8(name).map_err(|_| corrupt("collection name is not UTF-8"))?;
+            let shards = data.u16("truncated collection header")?;
+            let inner_len = data.u64("truncated collection header")?;
+            if data.left != inner_len {
+                return Err(corrupt("collection payload length mismatch"));
             }
-            let name_len = data.get_u16_le() as usize;
-            if data.remaining() < name_len {
-                return Err(err("truncated collection name"));
-            }
-            let name = String::from_utf8(data.copy_to_bytes(name_len).to_vec())
-                .map_err(|_| err("collection name is not UTF-8"))?;
-            if data.remaining() < 10 {
-                return Err(err("truncated collection header"));
-            }
-            let shards = data.get_u16_le();
-            let inner_len = data.get_u64_le() as usize;
-            if data.remaining() != inner_len {
-                return Err(err("collection payload length mismatch"));
-            }
-            let db = EncryptedDatabase::from_bytes(data)?;
-            Ok((Some(CollectionMeta { name, shards }), db))
+            let db = EncryptedDatabase::read_from(data.r, inner_len)?;
+            data.left = 0;
+            (Some(CollectionMeta { name, shards }), db)
         }
-        _ => Err(err("unsupported version")),
-    }
+        _ => return Err(corrupt("unsupported version")),
+    };
+    data.skip_rest()?;
+    Ok(loaded)
 }
 
-/// Loads either container version from a file (see [`load_snapshot_bytes`]).
+/// [`read_snapshot`] over a byte slice.
+pub fn load_snapshot_bytes(
+    data: impl AsRef<[u8]>,
+) -> Result<(Option<CollectionMeta>, EncryptedDatabase), PersistError> {
+    let data = data.as_ref();
+    read_snapshot(&mut &data[..], data.len() as u64)
+}
+
+/// A snapshot file parsed in one pass by [`open_snapshot`].
+#[derive(Debug)]
+pub struct SnapshotFile {
+    /// The embedded metadata (`None` for a v1 file).
+    pub meta: Option<CollectionMeta>,
+    /// The decoded database.
+    pub db: EncryptedDatabase,
+    /// The identity of the bytes parsed, computed while parsing them.
+    pub seal: SnapshotId,
+    /// The open handle those bytes were read through.
+    pub file: File,
+}
+
+/// Opens a snapshot file of either container version and streams it
+/// through one fixed buffer into a database, sealing the bytes in the
+/// same pass. The file is opened once; its handle comes back with the
+/// seal that names its bytes.
+pub fn open_snapshot(path: &Path) -> Result<SnapshotFile, PersistError> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut reader = SealHasher::new(BufReader::with_capacity(SNAPSHOT_IO_BUF, &file));
+    let (meta, db) = read_snapshot(&mut reader, len)?;
+    let seal = reader.seal();
+    drop(reader);
+    Ok(SnapshotFile { meta, db, seal, file })
+}
+
+/// Loads either container version from a file (see [`open_snapshot`]).
 pub fn load_snapshot(
     path: &Path,
 ) -> Result<(Option<CollectionMeta>, EncryptedDatabase), PersistError> {
-    let mut buf = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut buf)?;
-    load_snapshot_bytes(Bytes::from(buf))
+    open_snapshot(path).map(|loaded| (loaded.meta, loaded.db))
 }
 
 #[cfg(test)]
@@ -515,5 +672,61 @@ mod tests {
         let mut v3 = full;
         v3[4] = 3;
         assert!(load_snapshot_bytes(Bytes::from(v3)).is_err());
+    }
+
+    /// A writer that fails after its first `left` bytes, like a disk
+    /// filling up mid-snapshot.
+    struct FailAfter<'w> {
+        inner: &'w mut dyn Write,
+        left: usize,
+    }
+
+    impl Write for FailAfter<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"));
+            }
+            let n = self.inner.write(&buf[..buf.len().min(self.left)])?;
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// A snapshot write that fails partway removes its partial temp file
+    /// and leaves the previous snapshot byte-identical; the next write
+    /// publishes a file equal to the in-memory image, with its seal.
+    #[test]
+    fn failed_snapshot_write_removes_its_temp_file() {
+        let dir = std::env::temp_dir().join(format!("ppanns_failed_write_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("full.ppdb");
+        let tmp = crate::wal::tmp_sibling(&path);
+        let meta = CollectionMeta { name: "full".into(), shards: 1 };
+        let mut rng = seeded_rng(178);
+        let data: Vec<Vec<f64>> = (0..40).map(|_| uniform_vec(&mut rng, 3, -1.0, 1.0)).collect();
+        let owner = DataOwner::setup(PpAnnParams::new(3).with_seed(12), &data);
+        let db = owner.outsource(&data);
+        save_collection_snapshot(&path, &meta, &EncryptedDatabase::empty(3)).unwrap();
+        let good = std::fs::read(&path).unwrap();
+
+        let image = collection_snapshot_bytes(&meta, &db);
+        for cut in [0, 1, 100, image.len() / 2, image.len() - 1] {
+            let failed = atomic_write(&path, |w| {
+                write_collection_to(&mut FailAfter { inner: w, left: cut }, &meta, &db)
+            });
+            assert!(matches!(failed, Err(PersistError::Io(_))), "cut at {cut} bytes");
+            assert!(!tmp.exists(), "partial temp file left behind after {cut} bytes");
+            assert_eq!(std::fs::read(&path).unwrap(), good, "old snapshot was damaged");
+        }
+
+        let (seal, _) = write_collection_snapshot(&path, &meta, &db).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), image);
+        assert_eq!(seal, crate::wal::snapshot_id(&image));
+        assert!(!tmp.exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,7 +8,8 @@
 
 use bytes::{BufMut, BytesMut};
 use ppann_core::wal::{
-    replay, snapshot_id, wal_header, DurabilityOptions, FsyncPolicy, SnapshotId, WalRecord,
+    crc32, replay, snapshot_id, wal_header, Crc32, DurabilityOptions, FsyncPolicy, SnapshotId,
+    WalRecord,
 };
 use ppann_core::{Catalog, DataOwner, PpAnnParams, SearchParams};
 use ppann_dce::DceCiphertext;
@@ -230,5 +231,45 @@ proptest! {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// CRC-32 one bit at a time, straight from the reflected IEEE polynomial:
+/// the oracle the table-driven implementation must match.
+fn bitwise_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Random bytes fed to the incremental CRC in pieces split at random
+    /// points (empty pieces and unaligned tails included) give the CRC
+    /// of the whole, and so does the one-call form.
+    #[test]
+    fn crc32_of_any_split_equals_the_bitwise_reference(
+        bytes in collection::vec(any::<u8>(), 0..300),
+        cuts in collection::vec(any::<u64>(), 0..6),
+    ) {
+        let mut points: Vec<usize> =
+            cuts.iter().map(|&c| (c % (bytes.len() as u64 + 1)) as usize).collect();
+        points.sort_unstable();
+        let mut crc = Crc32::new();
+        let mut at = 0;
+        for p in points {
+            crc.update(&bytes[at..p]);
+            at = p;
+        }
+        crc.update(&bytes[at..]);
+        let expect = bitwise_crc32(&bytes);
+        prop_assert_eq!(crc.finish(), expect);
+        prop_assert_eq!(crc32(&bytes), expect);
     }
 }

@@ -11,19 +11,27 @@
 //! ```
 //!
 //! Rows are written from and read straight into the layer-0 arena
-//! (`crate::adjacency`), so a load holds one copy of the graph. Snapshots
-//! arrive from disk and from replication chunks, so the reader treats
-//! every field as hostile: a buffer that does not describe a well-formed
-//! graph is an error, never a panic, an abort or a wrapped size.
+//! (`crate::adjacency`), so a load holds one copy of the graph. The codec
+//! streams: [`Hnsw::write_to`] and [`Hnsw::read_from`] work on any
+//! `Write`/`Read`, so a snapshot goes to or comes from a file without an
+//! image of it in memory, and `to_bytes`/`from_bytes` are the same code
+//! over a `Vec`/slice. Snapshots arrive from disk and from replication
+//! chunks, so the reader treats every field as hostile: a snapshot that
+//! does not describe a well-formed graph is an error, never a panic, an
+//! abort or a wrapped size, and every length it claims is checked against
+//! the bytes left in its section before anything is allocated for it.
 
 use crate::adjacency::Adjacency;
 use crate::graph::Hnsw;
-use crate::params::HnswParams;
+use crate::params::{HnswParams, MAX_DEGREE};
 use crate::store::VecStore;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
+use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"HNSW";
 const VERSION: u32 = 1;
+/// Bytes from the magic through the node count.
+const HEADER_LEN: usize = 4 + 4 + 8 + HnswParams::ENCODED_LEN + 3 * 8;
 /// Bytes a node takes in the graph section at the least: the tombstone
 /// byte, the layer count and the layer-0 length word.
 const MIN_NODE_BYTES: usize = 1 + 4 + 4;
@@ -37,6 +45,9 @@ const ARENA_PER_INPUT_BYTE: usize = 16;
 /// Arena bytes any snapshot may claim, so small indexes load whatever
 /// their parameters.
 const ARENA_SLACK: usize = 1 << 20;
+/// Bytes of the one buffer [`read_f64s`] and [`write_f64s`] convert
+/// through.
+const F64_BUF_BYTES: usize = 4096;
 
 /// Serialization failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,6 +58,8 @@ pub enum SnapshotError {
     Truncated,
     /// The fields parse but do not describe a well-formed index.
     Corrupt(&'static str),
+    /// The reader failed for a reason other than running out of bytes.
+    Io(io::ErrorKind),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -55,42 +68,153 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadHeader => write!(f, "bad snapshot header"),
             SnapshotError::Truncated => write!(f, "truncated snapshot"),
             SnapshotError::Corrupt(why) => write!(f, "corrupt snapshot: {why}"),
+            SnapshotError::Io(kind) => write!(f, "snapshot read failed: {kind}"),
         }
     }
 }
 impl std::error::Error for SnapshotError {}
 
-impl Hnsw {
-    /// Serializes the full index (vectors + graph + tombstones).
-    pub fn to_bytes(&self) -> Bytes {
-        let (params, store, n) = (self.params(), self.store(), self.capacity_slots());
-        let mut buf = BytesMut::with_capacity(64 + store.raw().len() * 8);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(store.dim() as u64);
-        params.encode(&mut buf);
-        buf.put_u64_le(self.entry_point().map_or(u64::MAX, |e| e as u64));
-        buf.put_u64_le(self.len() as u64);
-        buf.put_u64_le(n as u64);
-        for v in store.raw() {
-            buf.put_f64_le(*v);
+impl From<io::Error> for SnapshotError {
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            io::ErrorKind::UnexpectedEof => SnapshotError::Truncated,
+            kind => SnapshotError::Io(kind),
         }
-        for id in 0..n as u32 {
-            let level = self.node_level(id);
-            buf.put_u8(self.is_deleted(id) as u8);
-            buf.put_u32_le(level as u32 + 1);
-            for layer in 0..=level {
-                let links = self.links(id, layer);
-                buf.put_u32_le(links.len() as u32);
-                for &nb in links {
-                    buf.put_u32_le(nb);
-                }
-            }
+    }
+}
+
+/// Writes `values` as little-endian f64s through one fixed buffer: the
+/// store and ciphertext sections of every snapshot.
+pub fn write_f64s<W: Write + ?Sized>(w: &mut W, values: &[f64]) -> io::Result<()> {
+    let mut buf = [0u8; F64_BUF_BYTES];
+    for chunk in values.chunks(F64_BUF_BYTES / 8) {
+        for (dst, v) in buf.chunks_exact_mut(8).zip(chunk) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
-        buf.freeze()
+        w.write_all(&buf[..chunk.len() * 8])?;
+    }
+    Ok(())
+}
+
+/// Appends `n` little-endian f64s read from `r` to `out`, converting
+/// through one fixed buffer rather than one `read` per value. The caller
+/// bounds `n` by the bytes it knows remain.
+pub fn read_f64s<R: Read + ?Sized>(r: &mut R, n: usize, out: &mut Vec<f64>) -> io::Result<()> {
+    let mut buf = [0u8; F64_BUF_BYTES];
+    out.reserve_exact(n);
+    let mut left = n;
+    while left > 0 {
+        let take = left.min(F64_BUF_BYTES / 8);
+        let bytes = &mut buf[..take * 8];
+        r.read_exact(bytes)?;
+        out.extend(bytes.chunks_exact(8).map(|b| f64::from_le_bytes(b.try_into().unwrap())));
+        left -= take;
+    }
+    Ok(())
+}
+
+/// The unread part of one snapshot section of known length: a read the
+/// section cannot cover fails as [`SnapshotError::Truncated`] before it
+/// reaches the reader.
+struct Section<'r, R: ?Sized> {
+    r: &'r mut R,
+    left: usize,
+}
+
+impl<R: Read + ?Sized> Section<'_, R> {
+    fn need(&self, n: usize) -> Result<(), SnapshotError> {
+        if self.left < n {
+            Err(SnapshotError::Truncated)
+        } else {
+            Ok(())
+        }
     }
 
-    /// Restores an index serialized by [`Hnsw::to_bytes`].
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), SnapshotError> {
+        self.need(buf.len())?;
+        self.r.read_exact(buf)?;
+        self.left -= buf.len();
+        Ok(())
+    }
+
+    fn u32(&mut self) -> Result<u32, SnapshotError> {
+        let mut b = [0u8; 4];
+        self.fill(&mut b)?;
+        Ok(u32::from_le_bytes(b))
+    }
+
+    /// `n` f64s, into a vector allocated once the section is known to
+    /// hold them.
+    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, SnapshotError> {
+        self.need(n * 8)?;
+        let mut out = Vec::with_capacity(n);
+        read_f64s(self.r, n, &mut out)?;
+        self.left -= n * 8;
+        Ok(out)
+    }
+}
+
+impl Hnsw {
+    /// Exact length in bytes of the snapshot [`Self::write_to`] writes.
+    pub fn encoded_len(&self) -> usize {
+        let graph: usize = (0..self.capacity_slots() as u32)
+            .map(|id| {
+                let lists: usize = (0..=self.node_level(id)).map(|l| self.links(id, l).len()).sum();
+                1 + 4 + 4 * (self.node_level(id) + 1) + 4 * lists
+            })
+            .sum();
+        HEADER_LEN + self.store().raw().len() * 8 + graph
+    }
+
+    /// Streams the full index (vectors + graph + tombstones) to `w`.
+    pub fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+        let (params, store, n) = (self.params(), self.store(), self.capacity_slots());
+        let mut record = Vec::with_capacity(HEADER_LEN);
+        record.put_slice(MAGIC);
+        record.put_u32_le(VERSION);
+        record.put_u64_le(store.dim() as u64);
+        params.encode(&mut record);
+        record.put_u64_le(self.entry_point().map_or(u64::MAX, |e| e as u64));
+        record.put_u64_le(self.len() as u64);
+        record.put_u64_le(n as u64);
+        w.write_all(&record)?;
+        write_f64s(w, store.raw())?;
+        for id in 0..n as u32 {
+            let level = self.node_level(id);
+            record.clear();
+            record.put_u8(self.is_deleted(id) as u8);
+            record.put_u32_le(level as u32 + 1);
+            for layer in 0..=level {
+                let links = self.links(id, layer);
+                record.put_u32_le(links.len() as u32);
+                for &nb in links {
+                    record.put_u32_le(nb);
+                }
+            }
+            w.write_all(&record)?;
+        }
+        Ok(())
+    }
+
+    /// Serializes the full index: [`Self::write_to`] into a `Vec`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.write_to(&mut buf).expect("writing to a Vec cannot fail");
+        buf
+    }
+
+    /// Restores an index serialized by [`Hnsw::to_bytes`]:
+    /// [`Self::read_from`] over a byte slice.
+    pub fn from_bytes(data: impl AsRef<[u8]>) -> Result<Self, SnapshotError> {
+        let data = data.as_ref();
+        Self::read_from(&mut &data[..], data.len())
+    }
+
+    /// Restores an index from the next `section_len` bytes of `r`, the
+    /// length the caller knows the snapshot spans (a slice's length, or
+    /// the section length a container header gives and the file length
+    /// bounds). Consumes exactly `section_len` bytes, skipping any the
+    /// index does not use.
     ///
     /// Returns [`SnapshotError::Corrupt`] when the fields do not describe
     /// an index this code could have written: sizes that overflow, a zero
@@ -99,28 +223,41 @@ impl Hnsw {
     /// entry point out of range, an upper-layer link to a node below that
     /// layer, a live count that disagrees with the tombstones, or a
     /// layer-0 arena more than 16× the snapshot's length plus 1 MiB.
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, SnapshotError> {
+    pub fn read_from<R: Read + ?Sized>(
+        r: &mut R,
+        section_len: usize,
+    ) -> Result<Self, SnapshotError> {
+        let mut section = Section { r, left: section_len };
+        let index = Self::read_section(&mut section, section_len)?;
+        let rest = section.left as u64;
+        if io::copy(&mut section.r.take(rest), &mut io::sink())? != rest {
+            return Err(SnapshotError::Truncated);
+        }
+        Ok(index)
+    }
+
+    fn read_section<R: Read + ?Sized>(
+        data: &mut Section<'_, R>,
+        input_len: usize,
+    ) -> Result<Self, SnapshotError> {
         use SnapshotError::Corrupt;
-        let input_len = data.len();
-        if data.remaining() < 8 || &data.copy_to_bytes(4)[..] != MAGIC {
+        let mut magic = [0u8; 8];
+        match data.fill(&mut magic) {
+            Err(SnapshotError::Truncated) => return Err(SnapshotError::BadHeader),
+            Err(e) => return Err(e),
+            Ok(()) if &magic[..4] != MAGIC => return Err(SnapshotError::BadHeader),
+            Ok(()) => {}
+        }
+        if u32::from_le_bytes(magic[4..].try_into().unwrap()) != VERSION {
             return Err(SnapshotError::BadHeader);
         }
-        if data.get_u32_le() != VERSION {
-            return Err(SnapshotError::BadHeader);
-        }
-        let need = |data: &Bytes, n: usize| {
-            if data.remaining() < n {
-                Err(SnapshotError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-        need(&data, 8 + HnswParams::ENCODED_LEN + 3 * 8)?;
-        let dim = data.get_u64_le() as usize;
-        let params = HnswParams::decode(&mut data);
-        let entry_raw = data.get_u64_le();
-        let live = data.get_u64_le() as usize;
-        let n_nodes = data.get_u64_le() as usize;
+        let mut header = [0u8; HEADER_LEN - 8];
+        data.fill(&mut header)?;
+        let mut header = Bytes::copy_from_slice(&header);
+        let dim = bytes::Buf::get_u64_le(&mut header) as usize;
+        let params = HnswParams::decode(&mut header);
+        let [entry_raw, live, n_nodes] = [(); 3].map(|()| bytes::Buf::get_u64_le(&mut header));
+        let (live, n_nodes) = (live as usize, n_nodes as usize);
         if dim == 0 {
             return Err(Corrupt("zero dimension"));
         }
@@ -129,18 +266,13 @@ impl Hnsw {
             .checked_mul(dim)
             .filter(|f| f.checked_mul(8).is_some() && n_nodes <= u32::MAX as usize)
             .ok_or(Corrupt("node count × dimension overflows"))?;
-        need(&data, floats * 8)?;
-        let mut raw = Vec::with_capacity(floats);
-        for _ in 0..floats {
-            let x = data.get_f64_le();
-            if !x.is_finite() {
-                return Err(Corrupt("non-finite coordinate"));
-            }
-            raw.push(x);
+        let raw = data.f64s(floats)?;
+        if raw.iter().any(|x| !x.is_finite()) {
+            return Err(Corrupt("non-finite coordinate"));
         }
         let store = VecStore::from_raw(dim, raw);
 
-        need(&data, n_nodes * MIN_NODE_BYTES)?;
+        data.need(n_nodes * MIN_NODE_BYTES)?;
         let arena_bytes = n_nodes * (params.m0 + 2) * 4;
         if arena_bytes > ARENA_PER_INPUT_BYTE.saturating_mul(input_len) + ARENA_SLACK {
             return Err(Corrupt("layer-0 arena out of proportion to the snapshot"));
@@ -148,23 +280,26 @@ impl Hnsw {
         let mut adj = Adjacency::with_capacity(params.m0, n_nodes)
             .ok_or(Corrupt("layer-0 arena size overflows"))?;
         let mut deleted = Vec::with_capacity(n_nodes);
+        let mut list = [0u8; 4 * MAX_DEGREE];
         for id in 0..n_nodes as u32 {
-            need(&data, 5)?;
-            deleted.push(data.get_u8() != 0);
-            let n_layers = data.get_u32_le() as usize;
+            let mut head = [0u8; 5];
+            data.fill(&mut head)?;
+            deleted.push(head[0] != 0);
+            let n_layers = u32::from_le_bytes(head[1..].try_into().unwrap()) as usize;
             if n_layers == 0 {
                 return Err(Corrupt("node without a layer 0"));
             }
-            need(&data, n_layers * 4)?;
+            data.need(n_layers * 4)?;
             adj.add_node(n_layers - 1);
             for layer in 0..n_layers {
-                need(&data, 4)?;
-                let len = data.get_u32_le() as usize;
+                let len = data.u32()? as usize;
                 if len > params.max_degree(layer) {
                     return Err(Corrupt("neighbour list longer than its degree bound"));
                 }
-                need(&data, len * 4)?;
-                adj.set_links(id, layer, (0..len).map(|_| data.get_u32_le()));
+                let links = &mut list[..len * 4];
+                data.fill(links)?;
+                let ids = links.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().unwrap()));
+                adj.set_links(id, layer, ids);
                 if adj.links_at(id, layer).iter().any(|&nb| nb as usize >= n_nodes) {
                     return Err(Corrupt("neighbour id out of range"));
                 }

@@ -60,11 +60,12 @@ use crate::reactor::Shared;
 use crate::server::PerCollectionStats;
 use crate::wire::{ErrorCode, Frame, WireName};
 use ppann_core::wal::{
-    decode_record_at, segment_end, snapshot_id, wal_path_for, SnapshotId, WAL_SEALED_LEN,
+    decode_record_at, segment_end, snapshot_id, wal_path_for, SnapshotId, WalRecord,
+    MAX_WAL_RECORD, WAL_FRAME_LEN, WAL_HEADER_LEN, WAL_SEALED_LEN,
 };
 use ppann_core::{Catalog, Collection, ReplicationSource};
 use std::collections::HashMap;
-use std::io::Read;
+use std::fs::File;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -193,23 +194,36 @@ impl From<std::io::Error> for PullError {
     }
 }
 
-/// One snapshot run starting at `offset`. The file is read in full and
-/// verified against the sampled seal — the computed identity is
-/// authoritative, so a compaction that swapped the file mid-read is
-/// detected here rather than shipped as a torn hybrid.
+/// Reads exactly `buf.len()` bytes of `file` at `offset`: every file
+/// read a pull makes goes through here (tests count them). A file shorter
+/// than that is not the generation the pull sampled, so it reads as
+/// [`PullError::SealChanged`].
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), PullError> {
+    use std::os::unix::fs::FileExt;
+    #[cfg(test)]
+    tests::BYTES_READ.with(|n| n.set(n.get() + buf.len() as u64));
+    file.read_exact_at(buf, offset).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => PullError::SealChanged,
+        _ => PullError::Io(e),
+    })
+}
+
+/// One snapshot run starting at `offset`: one positioned read of at most
+/// [`SNAPSHOT_CHUNK_BYTES`] from the handle the sampled seal names.
+/// Compaction publishes a new snapshot by rename, so that handle's bytes
+/// never change and no chunk can be a torn hybrid; the follower's
+/// end-to-end seal check remains the integrity gate.
 fn snapshot_chunk(src: &ReplicationSource, offset: u64) -> Result<Frame, PullError> {
-    let bytes = std::fs::read(&src.snapshot_path)?;
-    if snapshot_id(&bytes) != src.seal {
-        return Err(PullError::SealChanged);
-    }
-    let start = (offset as usize).min(bytes.len());
-    let end = (start + SNAPSHOT_CHUNK_BYTES).min(bytes.len());
+    let start = offset.min(src.seal.len);
+    let end = (start + SNAPSHOT_CHUNK_BYTES as u64).min(src.seal.len);
+    let mut bytes = vec![0u8; (end - start) as usize];
+    read_at(&src.snapshot, &mut bytes, start)?;
     Ok(Frame::SnapshotChunk {
         seal_len: src.seal.len,
         seal_crc: src.seal.crc,
-        offset: start as u64,
-        total_len: bytes.len() as u64,
-        bytes: bytes[start..end].to_vec(),
+        offset: start,
+        total_len: src.seal.len,
+        bytes,
     })
 }
 
@@ -217,31 +231,37 @@ fn snapshot_chunk(src: &ReplicationSource, offset: u64) -> Result<Frame, PullErr
 /// the sealed prefix — the sealing checkpoint is never shipped; the
 /// follower's bootstrap already gave it the sealed base). Only bytes
 /// below the *sampled* `log_len` ship: those are complete acknowledged
-/// records even if the primary is killed mid-append.
+/// records even if the primary is killed mid-append. The pull reads the
+/// log's sealed header and then at most [`SEGMENT_MAX_BYTES`] from
+/// `log_offset` (more only for a single record larger than that).
 fn wal_segment(src: &ReplicationSource, log_offset: u64) -> Result<Frame, PullError> {
     let start = log_offset.max(WAL_SEALED_LEN);
     let mut bytes = Vec::new();
     if start < src.log_len {
-        let wal_path = wal_path_for(&src.snapshot_path);
-        let mut file = std::fs::File::open(&wal_path)?;
-        let mut log = vec![0u8; src.log_len as usize];
-        if let Err(e) = file.read_exact(&mut log) {
-            // Shorter than the sampled acknowledged length: this is not
-            // the same log generation (compaction restarted it).
-            return if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                Err(PullError::SealChanged)
-            } else {
-                Err(e.into())
-            };
-        }
+        let file = File::open(wal_path_for(&src.snapshot_path))?;
         // The sealing checkpoint must still name the sampled seal — if
         // not, the file was swapped between the sample and the open.
-        match decode_record_at(&log, ppann_core::wal::WAL_HEADER_LEN) {
-            Some((ppann_core::wal::WalRecord::Checkpoint { base }, _)) if base == src.seal => {}
+        let mut head = [0u8; WAL_SEALED_LEN as usize];
+        read_at(&file, &mut head, 0)?;
+        match decode_record_at(&head, WAL_HEADER_LEN) {
+            Some((WalRecord::Checkpoint { base }, _)) if base == src.seal => {}
             _ => return Err(PullError::SealChanged),
         }
-        let end = segment_end(&log, start as usize, SEGMENT_MAX_BYTES);
-        bytes = log[start as usize..end].to_vec();
+        let avail = src.log_len - start;
+        bytes = vec![0u8; avail.min(SEGMENT_MAX_BYTES as u64) as usize];
+        read_at(&file, &mut bytes, start)?;
+        let mut end = segment_end(&bytes, 0, SEGMENT_MAX_BYTES);
+        if end == 0 && bytes.len() >= WAL_FRAME_LEN {
+            // The first record alone is over the cap: it ships whole.
+            let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+            if len <= MAX_WAL_RECORD {
+                let read = bytes.len();
+                bytes.resize(((WAL_FRAME_LEN + len) as u64).min(avail) as usize, 0);
+                read_at(&file, &mut bytes[read..], start + read as u64)?;
+                end = segment_end(&bytes, 0, SEGMENT_MAX_BYTES);
+            }
+        }
+        bytes.truncate(end);
     }
     Ok(Frame::WalSegment {
         seal_len: src.seal.len,
@@ -537,8 +557,9 @@ fn install_pending(ctx: &FollowerCtx, name: &str, state: &mut SyncState) -> bool
     if snapshot_id(&state.pending) != state.pending_seal {
         return false;
     }
-    let bytes = bytes::Bytes::from(std::mem::take(&mut state.pending));
-    let db = match ppann_core::load_snapshot_bytes(bytes) {
+    let loaded = ppann_core::load_snapshot_bytes(&state.pending);
+    state.pending = Vec::new();
+    let db = match loaded {
         Ok((_, db)) => db,
         Err(_) => return false,
     };
@@ -578,6 +599,96 @@ fn apply_segment(ctx: &FollowerCtx, name: &str, state: &mut SyncState, bytes: &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppann_core::{DurabilityOptions, EncryptedDatabase, FsyncPolicy};
+    use ppann_dce::DceCiphertext;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// File bytes [`read_at`] has read on this thread.
+        pub(super) static BYTES_READ: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Runs one pull, returning the file bytes it read and its reply.
+    fn counted_pull(
+        coll: &Collection,
+        seal: SnapshotId,
+        snapshot_offset: Option<u64>,
+        log_offset: u64,
+    ) -> (u64, Frame) {
+        BYTES_READ.with(|n| n.set(0));
+        let reply = serve_pull(coll, seal, snapshot_offset, log_offset).expect("pull answered");
+        (BYTES_READ.with(Cell::get), reply)
+    }
+
+    /// A synthetic row: dim-4 SAP vector and 4 × 600-wide DCE components
+    /// (19 KiB), so a few hundred rows span several snapshot chunks.
+    fn row(i: usize) -> (Vec<f64>, DceCiphertext) {
+        let x = i as f64;
+        let comp = |k: f64| (0..600).map(|j| x + k + j as f64).collect::<Vec<f64>>();
+        let sap = vec![x.sin(), x.cos(), (x * 0.5).sin(), (x * 0.25).cos()];
+        (sap, DceCiphertext::from_components(comp(0.1), comp(0.2), comp(0.3), comp(0.4)))
+    }
+
+    /// Bootstrap cost is linear: each snapshot pull reads one chunk from
+    /// the pinned handle, and each log pull reads the sealed header plus
+    /// one segment from the follower's offset, however large the files.
+    #[test]
+    fn each_pull_reads_at_most_one_chunk_plus_the_header() {
+        let dir = std::env::temp_dir().join(format!("ppanns_pull_reads_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut db = EncryptedDatabase::empty(4);
+        for i in 0..300 {
+            let (sap, dce) = row(i);
+            db.insert(sap, dce);
+        }
+        let opts = DurabilityOptions { fsync: FsyncPolicy::Never, compact_bytes: u64::MAX };
+        let catalog = Catalog::new();
+        let coll = catalog.create_durable("big", db, &dir, opts).unwrap();
+        let src = coll.replication_source().unwrap();
+        assert!(src.seal.len > 4 * SNAPSHOT_CHUNK_BYTES as u64, "snapshot spans several chunks");
+
+        let header = WAL_SEALED_LEN;
+        let mut pending = Vec::new();
+        let mut pull_seal = SnapshotId { len: 0, crc: 0 };
+        while (pending.len() as u64) < src.seal.len {
+            let (read, reply) = counted_pull(&coll, pull_seal, Some(pending.len() as u64), 0);
+            assert!(
+                read <= SNAPSHOT_CHUNK_BYTES as u64 + header,
+                "snapshot pull read {read} bytes"
+            );
+            let Frame::SnapshotChunk { seal_len, seal_crc, offset, bytes, .. } = reply else {
+                panic!("expected a snapshot chunk, got {reply:?}");
+            };
+            assert_eq!(offset, pending.len() as u64);
+            pull_seal = SnapshotId { len: seal_len, crc: seal_crc };
+            pending.extend_from_slice(&bytes);
+        }
+        assert_eq!(snapshot_id(&pending), src.seal);
+        assert_eq!(pending, std::fs::read(&src.snapshot_path).unwrap());
+
+        for i in 300..420 {
+            let (sap, dce) = row(i);
+            coll.insert(sap, dce).unwrap();
+        }
+        let log = std::fs::read(wal_path_for(&src.snapshot_path)).unwrap();
+        assert!(log.len() > 2 * SEGMENT_MAX_BYTES, "log spans several segments");
+        let mut shipped = Vec::new();
+        let mut offset = WAL_SEALED_LEN;
+        while offset < log.len() as u64 {
+            let (read, reply) = counted_pull(&coll, src.seal, None, offset);
+            assert!(read <= SEGMENT_MAX_BYTES as u64 + header, "log pull read {read} bytes");
+            let Frame::WalSegment { start_offset, bytes, .. } = reply else {
+                panic!("expected a log segment, got {reply:?}");
+            };
+            assert_eq!(start_offset, offset);
+            assert!(!bytes.is_empty());
+            offset += bytes.len() as u64;
+            shipped.extend_from_slice(&bytes);
+        }
+        assert_eq!(shipped, log[WAL_SEALED_LEN as usize..]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn role_flips_once_and_stays() {

@@ -15,48 +15,14 @@ use ppanns::core::{CloudServer, DataOwner, PpAnnParams, SearchParams};
 use ppanns::hnsw::{Hnsw, HnswParams, SearchScratch};
 use ppanns::linalg::{seeded_rng, uniform_vec};
 use ppanns::service::{serve, ServiceClient, ServiceConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
-/// Counts allocator hits process-wide while [`ENABLED`] — `alloc` and
-/// `realloc` both count (a growing `Vec` is exactly the regression this
-/// test exists to catch); `dealloc` is free.
-struct CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ENABLED.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use counting_alloc::{counted, CountingAlloc};
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with counting enabled; returns (allocations, result).
-fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    ALLOCS.store(0, Relaxed);
-    ENABLED.store(true, Relaxed);
-    let r = f();
-    ENABLED.store(false, Relaxed);
-    (ALLOCS.load(Relaxed), r)
-}
 
 #[test]
 fn warm_query_path_allocation_budgets() {
