@@ -13,7 +13,6 @@ use crate::cost::QueryCost;
 use crate::query::EncryptedQuery;
 use crate::scratch::QueryScratch;
 use crate::server::{SearchOutcome, SearchParams};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -41,27 +40,12 @@ impl BatchOutcome {
 pub struct BatchExecutor {
     collection: Arc<Collection>,
     threads: usize,
-    /// Warm [`QueryScratch`] instances retained across batches: each worker
-    /// checks one out for its whole run, so steady-state batch traffic
-    /// re-traverses already-grown buffers instead of the allocator.
-    scratch_pool: Mutex<Vec<QueryScratch>>,
 }
 
 impl BatchExecutor {
     /// Creates an executor with `threads` workers (clamped to ≥ 1).
     pub fn new(collection: Arc<Collection>, threads: usize) -> Self {
-        Self { collection, threads: threads.max(1), scratch_pool: Mutex::new(Vec::new()) }
-    }
-
-    fn checkout_scratch(&self) -> QueryScratch {
-        self.scratch_pool.lock().pop().unwrap_or_default()
-    }
-
-    fn checkin_scratch(&self, scratch: QueryScratch) {
-        let mut pool = self.scratch_pool.lock();
-        if pool.len() < self.threads {
-            pool.push(scratch);
-        }
+        Self { collection, threads: threads.max(1) }
     }
 
     /// Executes all queries, work-stealing over an atomic cursor so skewed
@@ -73,16 +57,25 @@ impl BatchExecutor {
     /// batches (the common case on the network path, where every
     /// `SearchBatch` frame lands here) never pay thread-spawn overhead.
     pub fn run(&self, queries: &[EncryptedQuery], params: &SearchParams) -> BatchOutcome {
+        self.run_in(&mut QueryScratch::default(), queries, params)
+    }
+
+    /// [`Self::run`] with a caller-owned scratch for the inline
+    /// single-worker case: a service worker passes its warm buffers, so a
+    /// one-thread batch allocates like a plain search. Spawned workers
+    /// start from fresh scratch.
+    pub fn run_in(
+        &self,
+        scratch: &mut QueryScratch,
+        queries: &[EncryptedQuery],
+        params: &SearchParams,
+    ) -> BatchOutcome {
         let started = std::time::Instant::now();
         let n = queries.len();
         let threads = self.threads.min(n.max(1));
         if threads == 1 {
-            let mut scratch = self.checkout_scratch();
-            let outcomes: Vec<SearchOutcome> = queries
-                .iter()
-                .map(|q| self.collection.search_in(&mut scratch, q, params))
-                .collect();
-            self.checkin_scratch(scratch);
+            let outcomes: Vec<SearchOutcome> =
+                queries.iter().map(|q| self.collection.search_in(scratch, q, params)).collect();
             return Self::finish(outcomes, started, 1);
         }
         let mut slots: Vec<Option<SearchOutcome>> = Vec::with_capacity(n);
@@ -96,8 +89,8 @@ impl BatchExecutor {
             for _ in 0..threads {
                 let collection = &*self.collection;
                 let cursor = &cursor;
-                let mut scratch = self.checkout_scratch();
                 handles.push(scope.spawn(move || {
+                    let mut scratch = QueryScratch::default();
                     let mut local: Vec<(usize, SearchOutcome)> = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -106,12 +99,11 @@ impl BatchExecutor {
                         }
                         local.push((i, collection.search_in(&mut scratch, &queries[i], params)));
                     }
-                    (local, scratch)
+                    local
                 }));
             }
             for h in handles {
-                let (local, scratch) = h.join().expect("batch worker panicked");
-                self.checkin_scratch(scratch);
+                let local = h.join().expect("batch worker panicked");
                 for (i, out) in local {
                     slots[i] = Some(out);
                 }

@@ -31,7 +31,7 @@
 //! name can travel to this check and be answered as a semantic error
 //! (PROTOCOL.md §4 "Collections").
 
-use crate::index::EncryptedDatabase;
+use crate::index::{EncryptedDatabase, MutationError};
 use crate::persist::{
     open_snapshot, write_collection_snapshot, CollectionMeta, PersistError, SnapshotFile,
     SNAPSHOT_EXT,
@@ -251,43 +251,6 @@ pub struct ReplicationSource {
     pub snapshot: Arc<File>,
 }
 
-/// Why a replicated record was refused by [`Collection::apply_replicated`].
-/// Any of these means the follower's state has diverged from the
-/// primary's stream (or the stream itself is damaged) — the follower's
-/// recovery is a full re-bootstrap, mirroring how restart replay
-/// truncates at the first non-applying record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplicaApplyError {
-    /// The insert's id is not the next free slot.
-    IdMismatch { expected: u32, got: u32 },
-    /// The insert's SAP ciphertext has the wrong dimensionality.
-    DimMismatch { expected: usize, got: usize },
-    /// The delete names an id that is not live here.
-    NotLive(u32),
-    /// A checkpoint arrived mid-stream (checkpoints only seal files,
-    /// they are never shipped as records).
-    Checkpoint,
-    /// The local (durable) apply failed at the storage layer.
-    Storage(String),
-}
-
-impl std::fmt::Display for ReplicaApplyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::IdMismatch { expected, got } => {
-                write!(f, "insert id {got} is not the next slot {expected}")
-            }
-            Self::DimMismatch { expected, got } => {
-                write!(f, "insert of dim {got} into a dim-{expected} collection")
-            }
-            Self::NotLive(id) => write!(f, "delete of id {id} which is not live"),
-            Self::Checkpoint => f.write_str("checkpoint record mid-stream"),
-            Self::Storage(e) => write!(f, "storage: {e}"),
-        }
-    }
-}
-impl std::error::Error for ReplicaApplyError {}
-
 /// A point-in-time view of a collection's durability state (diagnostics
 /// and the log-bounded-restart assertions in the persistence tests).
 #[derive(Clone, Copy, Debug)]
@@ -359,56 +322,60 @@ impl Collection {
         self.server.read().search_in(scratch, query, params)
     }
 
-    /// Inserts a pre-encrypted vector, returning its assigned id.
-    ///
-    /// On a durable collection this is **write-ahead**: the record is
-    /// appended to the log (and fsynced per policy) *before* the
-    /// server is touched, so an `Ok` id is exactly as durable as the
-    /// policy promises and an `Err` guarantees the server did not
-    /// change — the caller must not acknowledge. The id is predicted
-    /// from the server's slot count; the WAL mutex serializes every
-    /// mutation, so the prediction cannot race.
-    pub fn insert(&self, c_sap: Vec<f64>, c_dce: DceCiphertext) -> Result<u32, PersistError> {
+    /// Inserts a pre-encrypted vector, returning its assigned id (the
+    /// next slot). Like every mutation it passes
+    /// [`EncryptedDatabase::admit`] and, on a durable collection, is
+    /// logged before it is applied: an `Err` means nothing changed and
+    /// the caller must not acknowledge.
+    pub fn insert(&self, c_sap: Vec<f64>, c_dce: DceCiphertext) -> Result<u32, MutationError> {
+        self.apply_with(|next| WalRecord::Insert { id: next, c_sap, c_dce })
+    }
+
+    /// Check-and-delete: `Ok(false)` (nothing touched) when `id` is out
+    /// of range or already deleted, instead of the panic of
+    /// [`CloudServer::delete`].
+    pub fn try_delete(&self, id: u32) -> Result<bool, MutationError> {
+        match self.apply_with(|_| WalRecord::Delete { id }) {
+            Ok(_) => Ok(true),
+            Err(MutationError::NotLive(_)) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Applies one record shipped by a replication primary. A record
+    /// that does not apply here (stale or future id, wrong row shape,
+    /// dead delete target) means the follower diverged from the
+    /// primary's stream; its recovery is a full re-bootstrap.
+    pub fn apply_replicated(&self, record: WalRecord) -> Result<u32, MutationError> {
+        self.apply_with(|_| record)
+    }
+
+    /// The one checked apply of every mutation: `record` is built from
+    /// the next free slot, then [`EncryptedDatabase::admit`] decides it
+    /// and the mutation lands in the same step. In memory, check and
+    /// apply share one write lock. On a durable collection the WAL mutex
+    /// (the outer lock of every mutation) spans check → append → apply:
+    /// the record is logged, and fsynced per policy, *before* the server
+    /// is touched, so an `Ok` is exactly as durable as the policy
+    /// promises and an `Err` guarantees nothing changed — the caller
+    /// must not acknowledge.
+    fn apply_with(&self, record: impl FnOnce(u32) -> WalRecord) -> Result<u32, MutationError> {
         let Some(wal) = &self.wal else {
-            return Ok(self.server.write().insert(c_sap, c_dce));
+            let mut server = self.server.write();
+            let record = record(server.slots() as u32);
+            return server.database_mut().apply(record);
         };
         let mut wal = wal.lock();
-        let id = self.slots() as u32;
-        wal.writer()?.append_insert(id, &c_sap, &c_dce)?;
-        let assigned = self.server.write().insert(c_sap, c_dce);
-        debug_assert_eq!(assigned, id, "WAL id prediction diverged from the server");
+        let record = {
+            let server = self.server.read();
+            let record = record(server.slots() as u32);
+            server.database().admit(&record)?;
+            record
+        };
+        wal.writer()?.append(&record)?;
+        let id = self.server.write().database_mut().apply_admitted(record);
         self.maybe_compact(&mut wal);
         Ok(id)
-    }
-
-    /// Check-and-delete: `Ok(false)` (server untouched) when `id` is out
-    /// of range or already deleted, instead of the panic of
-    /// [`CloudServer::delete`]. Durable collections log the delete before
-    /// applying it (see [`Self::insert`] for the contract).
-    pub fn try_delete(&self, id: u32) -> Result<bool, PersistError> {
-        let Some(wal) = &self.wal else {
-            return Ok(self.delete_if_live(id));
-        };
-        let mut wal = wal.lock();
-        if !self.is_live(id) {
-            return Ok(false);
-        }
-        wal.writer()?.append_delete(id)?;
-        let deleted = self.delete_if_live(id);
-        debug_assert!(deleted, "liveness cannot change under the WAL mutex");
-        self.maybe_compact(&mut wal);
-        Ok(deleted)
-    }
-
-    /// Check and removal under one exclusive lock, so concurrent deletes
-    /// of one id cannot race into the panic path.
-    fn delete_if_live(&self, id: u32) -> bool {
-        let mut server = self.server.write();
-        let live = server.is_live(id);
-        if live {
-            server.delete(id);
-        }
-        live
     }
 
     /// Whether `id` names a live vector.
@@ -455,50 +422,6 @@ impl Collection {
                 snapshot: Arc::clone(wal.snapshot.as_ref()?),
             }),
             WalState::NeedsReseal(_) | WalState::Dropped => None,
-        }
-    }
-
-    /// Applies one record shipped by a replication primary, enforcing
-    /// the same invariants restart replay does (next-slot id, matching
-    /// dimensionality, live delete target) *before* mutating anything.
-    /// On a durable collection the record rides the normal write-ahead
-    /// path, so a replicated follower with its own `--data-dir` logs
-    /// what it applies; in-memory followers just apply.
-    pub fn apply_replicated(&self, record: &WalRecord) -> Result<(), ReplicaApplyError> {
-        match record {
-            WalRecord::Insert { id, c_sap, c_dce } => {
-                if c_sap.len() != self.dim {
-                    return Err(ReplicaApplyError::DimMismatch {
-                        expected: self.dim,
-                        got: c_sap.len(),
-                    });
-                }
-                // The WAL mutex (if any) is taken inside insert(); slot
-                // prediction here is safe because replication apply is
-                // single-threaded per collection and followers reject
-                // client mutations.
-                let expected = self.slots() as u32;
-                if *id != expected {
-                    return Err(ReplicaApplyError::IdMismatch { expected, got: *id });
-                }
-                let assigned = self
-                    .insert(c_sap.clone(), c_dce.clone())
-                    .map_err(|e| ReplicaApplyError::Storage(e.to_string()))?;
-                debug_assert_eq!(assigned, *id);
-                Ok(())
-            }
-            WalRecord::Delete { id } => {
-                if !self.is_live(*id) {
-                    return Err(ReplicaApplyError::NotLive(*id));
-                }
-                let deleted =
-                    self.try_delete(*id).map_err(|e| ReplicaApplyError::Storage(e.to_string()))?;
-                if !deleted {
-                    return Err(ReplicaApplyError::NotLive(*id));
-                }
-                Ok(())
-            }
-            WalRecord::Checkpoint { .. } => Err(ReplicaApplyError::Checkpoint),
         }
     }
 
@@ -905,54 +828,23 @@ fn replay_wal_over(
         std::fs::remove_file(&wal_path)?;
         return Ok((report, false));
     }
-    // Apply records in order; the first that does not fit the database
-    // state marks the log corrupt from there on (same handling as a bad
+    // Apply records in order; the first that the admission check
+    // refuses marks the log corrupt from there on (same handling as a bad
     // checksum — replay is "longest valid prefix", where valid means
     // *applies*, not merely *decodes*).
     let mut end = decoded.sealed_len;
-    for (record, record_end) in &decoded.records {
-        if apply_wal_record(db, record).is_err() {
+    for (record, record_end) in decoded.records {
+        if db.apply(record).is_err() {
             break;
         }
         report.replayed += 1;
-        end = *record_end;
+        end = record_end;
     }
     if end < bytes.len() as u64 {
         report.truncated_bytes = bytes.len() as u64 - end;
         crate::wal::truncate_to(&wal_path, end)?;
     }
     Ok((report, true))
-}
-
-/// Applies one replayed record to the database being restored; `Err`
-/// means the record contradicts the database state (wrong next id,
-/// wrong dimensionality, delete of a dead id) and the log must be
-/// truncated at the *previous* record.
-fn apply_wal_record(db: &mut EncryptedDatabase, record: &WalRecord) -> Result<(), ()> {
-    match record {
-        WalRecord::Insert { id, c_sap, c_dce } => {
-            let next = db.hnsw().capacity_slots() as u32;
-            if *id != next || c_sap.len() != db.dim() {
-                return Err(());
-            }
-            if let Some(first) = db.dce_ciphertexts().first() {
-                if first.component_dim() != c_dce.component_dim() {
-                    return Err(());
-                }
-            }
-            db.insert(c_sap.clone(), c_dce.clone());
-            Ok(())
-        }
-        WalRecord::Delete { id } => {
-            if !db.is_live(*id) {
-                return Err(());
-            }
-            db.delete(*id);
-            Ok(())
-        }
-        // replay() never yields a mid-log checkpoint; defensive.
-        WalRecord::Checkpoint { .. } => Err(()),
-    }
 }
 
 /// A durable-catalog failure: either a naming/registration problem
@@ -988,6 +880,7 @@ mod tests {
     use super::*;
     use crate::owner::{DataOwner, PpAnnParams};
     use crate::persist::{save_collection_snapshot, CollectionMeta};
+    use crate::wal::WalWriter;
     use ppann_linalg::{seeded_rng, uniform_vec};
 
     fn make_db(n: usize, dim: usize, seed: u64) -> (Vec<Vec<f64>>, DataOwner, EncryptedDatabase) {
@@ -1365,6 +1258,73 @@ mod tests {
         let (reloaded, _) = Catalog::load_dir_durable(&dir, opts).unwrap();
         assert!(reloaded.is_empty(), "dropped collection came back on restart");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Replay checks a row's DCE width against the index dimension, not
+    /// against the rows already stored: a log whose first insert over an
+    /// empty snapshot has the wrong width is truncated at that record.
+    #[test]
+    fn replay_truncates_at_a_wrong_width_first_insert() {
+        let dir = temp_dir("width");
+        let opts = DurabilityOptions::default();
+        let catalog = Catalog::new();
+        catalog.create_durable("w", EncryptedDatabase::empty(4), &dir, opts).unwrap();
+        drop(catalog);
+        let row = || vec![0.5; 3];
+        let bad = WalRecord::Insert {
+            id: 0,
+            c_sap: vec![0.25; 4],
+            c_dce: DceCiphertext::from_components(row(), row(), row(), row()),
+        };
+        let log = wal_path_for(&dir.join("w.ppdb"));
+        WalWriter::open_append(&log, opts.fsync).unwrap().append(&bad).unwrap();
+
+        let (reloaded, reports) = Catalog::load_dir_durable(&dir, opts).unwrap();
+        assert_eq!(reports[0].replayed, 0);
+        assert_eq!(reports[0].truncated_bytes, bad.encode().len() as u64);
+        assert!(!reports[0].discarded);
+        assert_eq!(reloaded.get("w").unwrap().slots(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A client insert that lands between a replicated insert's arrival
+    /// and its apply (a follower promoted mid-stream) takes the slot the
+    /// record names. The record is then stale: it must be refused, never
+    /// stored under another id. The replicated apply is parked behind a
+    /// read guard and the client insert barges in when the guard drops;
+    /// the pause only lets the apply reach the lock, and the assertions
+    /// hold under every interleaving.
+    #[test]
+    fn replicated_insert_with_a_stale_id_is_refused() {
+        let (data, owner, db) = make_db(20, 4, 55);
+        let coll = Catalog::new().create("f", db).unwrap();
+        for round in 0..4 {
+            let next = coll.slots() as u32;
+            let (c_sap, c_dce) = owner.encrypt_for_insert(&data[round], 1);
+            let record = WalRecord::Insert { id: next, c_sap: c_sap.clone(), c_dce };
+            let (client_sap, client_dce) = owner.encrypt_for_insert(&data[round + 10], 2);
+            let guard = coll.server.read();
+            let replicated = std::thread::spawn({
+                let coll = Arc::clone(&coll);
+                move || coll.apply_replicated(record)
+            });
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            drop(guard);
+            let client = coll.insert(client_sap.clone(), client_dce).unwrap();
+            let winner = match replicated.join().expect("replicated apply panicked") {
+                Ok(id) => {
+                    assert_eq!(id, next, "replicated row stored under another id");
+                    c_sap
+                }
+                Err(e) => {
+                    assert!(matches!(e, MutationError::IdMismatch { .. }), "{e}");
+                    assert_eq!(client, next);
+                    client_sap
+                }
+            };
+            let stored = coll.server.read().database().hnsw().store().get(next).to_vec();
+            assert_eq!(stored, winner, "round {round}: slot {next} holds the wrong row");
+        }
     }
 
     #[test]

@@ -70,12 +70,12 @@ pub mod wire;
 pub use batch::{BatchExecutor, BatchOutcome};
 pub use catalog::{
     validate_collection_name, Catalog, CatalogError, Collection, CollectionInfo,
-    DurableCatalogError, ReplicaApplyError, ReplicationSource, WalRecoveryReport, WalStatus,
-    DEFAULT_COLLECTION, MAX_COLLECTION_NAME_LEN,
+    DurableCatalogError, ReplicationSource, WalRecoveryReport, WalStatus, DEFAULT_COLLECTION,
+    MAX_COLLECTION_NAME_LEN,
 };
 pub use cost::{QueryCost, UserCost};
 pub use heap::SecureTopK;
-pub use index::EncryptedDatabase;
+pub use index::{EncryptedDatabase, MutationError};
 pub use owner::{DataOwner, OwnerSecretKey, PpAnnParams};
 pub use persist::{
     atomic_write, collection_snapshot_bytes, load_snapshot, load_snapshot_bytes, open_snapshot,

@@ -222,6 +222,12 @@ impl EncryptedDatabase {
         if hnsw.capacity_slots() as u64 != n {
             return Err(corrupt("index/ciphertext misalignment"));
         }
+        // Every row's DCE width follows from the index dimension (the
+        // shape `EncryptedDatabase::admit` enforces on every mutation);
+        // an empty database writes width 0.
+        if n > 0 && comp_dim != ppann_dce::ciphertext_dim(hnsw.dim()) as u64 {
+            return Err(corrupt("DCE ciphertext width does not match the index dimension"));
+        }
         let comp_dim = usize::try_from(comp_dim).map_err(|_| corrupt("truncated ciphertexts"))?;
         let mut dce = Vec::with_capacity(hnsw.capacity_slots());
         for _ in 0..n {
@@ -608,6 +614,27 @@ mod tests {
         assert_eq!(file_meta, Some(meta));
         assert_eq!(file_db.len(), 40);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A populated image whose DCE width is not `ciphertext_dim(dim)`
+    /// is corrupt: a follower bootstraps from bytes off the network, and
+    /// such rows would fail every query that touches them. An empty
+    /// database writes width 0 and still loads.
+    #[test]
+    fn dce_width_must_match_the_index_dim() {
+        let mut rng = seeded_rng(179);
+        let data: Vec<Vec<f64>> = (0..12).map(|_| uniform_vec(&mut rng, 4, -1.0, 1.0)).collect();
+        let owner = DataOwner::setup(PpAnnParams::new(4).with_seed(13), &data);
+        let (hnsw, dce) = owner.outsource(&data).into_parts();
+        let row = || vec![0.5; 3];
+        let narrow = dce.iter().map(|_| DceCiphertext::from_components(row(), row(), row(), row()));
+        let bytes = EncryptedDatabase::new(hnsw, narrow.collect()).to_bytes();
+        match EncryptedDatabase::from_bytes(bytes) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("width"), "{msg}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| "a database")),
+        }
+        let empty = EncryptedDatabase::from_bytes(EncryptedDatabase::empty(4).to_bytes()).unwrap();
+        assert_eq!((empty.dim(), empty.len()), (4, 0));
     }
 
     /// Regression for the in-place snapshot write: rewriting an

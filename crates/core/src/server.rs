@@ -63,6 +63,11 @@ impl CloudServer {
         &self.db
     }
 
+    /// Write access for the collection's checked apply.
+    pub(crate) fn database_mut(&mut self) -> &mut EncryptedDatabase {
+        &mut self.db
+    }
+
     /// Number of live vectors served.
     pub fn len(&self) -> usize {
         self.db.len()

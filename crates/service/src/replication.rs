@@ -31,8 +31,9 @@
 //!   (bytes below it are complete acknowledged records even mid-crash —
 //!   the WAL writer's dirty-flag discipline guarantees it). The follower
 //!   decodes record by record with [`ppann_core::wal::decode_record_at`]
-//!   and applies through [`Collection::apply_replicated`], the same
-//!   invariants restart replay enforces.
+//!   and applies through [`Collection::apply_replicated`]: the admission
+//!   check client writes and restart replay pass too (next-slot id, row
+//!   shape, live delete target).
 //! * **Reseal catch-up** — a primary compaction swaps the snapshot and
 //!   restarts the log, changing the seal; the follower's next pull gets
 //!   `SnapshotChunk`s for the new snapshot and re-enters bootstrap.
@@ -585,7 +586,7 @@ fn apply_segment(ctx: &FollowerCtx, name: &str, state: &mut SyncState, bytes: &[
     };
     let mut off = 0usize;
     while let Some((record, next)) = decode_record_at(bytes, off) {
-        if coll.apply_replicated(&record).is_err() {
+        if coll.apply_replicated(record).is_err() {
             return false;
         }
         state.applied += (next - off) as u64;
@@ -620,12 +621,15 @@ mod tests {
         (BYTES_READ.with(Cell::get), reply)
     }
 
-    /// A synthetic row: dim-4 SAP vector and 4 × 600-wide DCE components
-    /// (19 KiB), so a few hundred rows span several snapshot chunks.
+    const DIM: usize = 292;
+
+    /// A synthetic row of a dim-292 collection: the SAP vector and 4 ×
+    /// 600-wide DCE components (`ciphertext_dim(292)`, 19 KiB), so a few
+    /// hundred rows span several snapshot chunks.
     fn row(i: usize) -> (Vec<f64>, DceCiphertext) {
         let x = i as f64;
         let comp = |k: f64| (0..600).map(|j| x + k + j as f64).collect::<Vec<f64>>();
-        let sap = vec![x.sin(), x.cos(), (x * 0.5).sin(), (x * 0.25).cos()];
+        let sap = (0..DIM).map(|j| (x * 0.5 + j as f64).sin()).collect();
         (sap, DceCiphertext::from_components(comp(0.1), comp(0.2), comp(0.3), comp(0.4)))
     }
 
@@ -637,7 +641,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ppanns_pull_reads_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let mut db = EncryptedDatabase::empty(4);
+        let mut db = EncryptedDatabase::empty(DIM);
         for i in 0..300 {
             let (sap, dce) = row(i);
             db.insert(sap, dce);

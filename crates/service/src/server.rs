@@ -84,10 +84,10 @@ use crate::wire::{
 use bytes::BytesMut;
 use parking_lot::{Mutex, RwLock};
 use ppann_core::catalog::{validate_collection_name, Catalog, Collection};
-use ppann_core::wal::wal_path_for;
+use ppann_core::wal::{wal_path_for, SnapshotId};
 use ppann_core::{
     BatchExecutor, CloudServer, DurabilityOptions, DurableCatalogError, EncryptedDatabase,
-    EncryptedQuery, FsyncPolicy, QueryScratch, SearchParams, DEFAULT_COLLECTION,
+    EncryptedQuery, FsyncPolicy, MutationError, QueryScratch, SearchParams, DEFAULT_COLLECTION,
     DEFAULT_COMPACT_BYTES, SNAPSHOT_EXT,
 };
 use std::collections::HashMap;
@@ -405,16 +405,25 @@ impl PerCollectionStats {
     }
 }
 
+/// What every worker shares: the catalog and its per-collection stats
+/// slots, the configuration, the process-wide counters, the reactor
+/// handle and the replication role.
+struct Service {
+    catalog: Arc<Catalog>,
+    coll_stats: Arc<PerCollectionStats>,
+    config: ServiceConfig,
+    stats: Arc<ServiceStats>,
+    shared: Arc<Shared>,
+    role: Arc<ReplicationRole>,
+}
+
 /// A running service: bound address, shared counters, join/stop control.
 ///
 /// Dropping the handle requests a stop and joins all threads, so a test
 /// (or a panicking caller) never leaks the listener.
 pub struct ServiceHandle {
     addr: SocketAddr,
-    stats: Arc<ServiceStats>,
-    catalog: Arc<Catalog>,
-    shared: Arc<Shared>,
-    role: Arc<ReplicationRole>,
+    svc: Arc<Service>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -426,7 +435,7 @@ impl ServiceHandle {
 
     /// Live service counters.
     pub fn stats(&self) -> &ServiceStats {
-        &self.stats
+        &self.svc.stats
     }
 
     /// The served catalog (shared with the workers: collections created
@@ -438,37 +447,37 @@ impl ServiceHandle {
     /// Register collections before calling [`serve_catalog`], or over
     /// the wire with `CreateCollection`.
     pub fn catalog(&self) -> &Arc<Catalog> {
-        &self.catalog
+        &self.svc.catalog
     }
 
     /// Total live vectors across every served collection.
     pub fn live(&self) -> u64 {
-        self.catalog.total_live() as u64
+        self.svc.catalog.total_live() as u64
     }
 
     /// True when this process accepts mutations (started without
     /// `replicate_from`, or promoted since).
     pub fn is_primary(&self) -> bool {
-        self.role.is_primary()
+        self.svc.role.is_primary()
     }
 
     /// The replication role handle (shared with the worker pool and the
     /// follower sync threads). [`ReplicationRole::promote`] here is the
     /// in-process equivalent of an owner-authenticated `Promote` frame.
     pub fn role(&self) -> &Arc<ReplicationRole> {
-        &self.role
+        &self.svc.role
     }
 
     /// Raises the stop flag and wakes the reactor: stop accepting, close
     /// parked connections, drain, exit. Returns immediately; pair with
     /// [`Self::join`] to wait.
     pub fn request_stop(&self) {
-        self.shared.request_stop();
+        self.svc.shared.request_stop();
     }
 
     /// True once a stop was requested (locally or via a `Shutdown` frame).
     pub fn stop_requested(&self) -> bool {
-        self.shared.stopping()
+        self.svc.shared.stopping()
     }
 
     /// Waits for the reactor and every worker to exit.
@@ -560,22 +569,20 @@ pub fn serve_catalog(
         None => ReplicationRole::primary(),
     };
 
+    let svc =
+        Arc::new(Service { catalog, coll_stats, config: config.clone(), stats, shared, role });
+
     let mut threads = Vec::with_capacity(workers + 2);
     for _ in 0..workers {
-        let shared = Arc::clone(&shared);
-        let catalog = Arc::clone(&catalog);
-        let coll_stats = Arc::clone(&coll_stats);
-        let stats = Arc::clone(&stats);
-        let role = Arc::clone(&role);
-        let config = config.clone();
+        let svc = Arc::clone(&svc);
         threads.push(std::thread::spawn(move || {
             let mut ws = WorkerScratch::default();
-            while let Some(conn) = shared.ready.pop(&stats) {
-                serve_wake(&conn, &mut ws, &catalog, &coll_stats, &config, &stats, &shared, &role);
-                ws.settle(&stats);
+            while let Some(conn) = svc.shared.ready.pop(&svc.stats) {
+                serve_wake(&conn, &mut ws, &svc);
+                ws.settle(&svc.stats);
             }
             // Retire this worker's contribution from the gauge.
-            stats.update_scratch_bytes(ws.reported, 0);
+            svc.stats.update_scratch_bytes(ws.reported, 0);
         }));
     }
 
@@ -586,44 +593,35 @@ pub fn serve_catalog(
         // (or a promotion) winds them down; `join` collects them here.
         threads.push(replication::spawn_follower(FollowerCtx {
             upstream: upstream.clone(),
-            catalog: Arc::clone(&catalog),
-            coll_stats: Arc::clone(&coll_stats),
-            role: Arc::clone(&role),
-            shared: Arc::clone(&shared),
+            catalog: Arc::clone(&svc.catalog),
+            coll_stats: Arc::clone(&svc.coll_stats),
+            role: Arc::clone(&svc.role),
+            shared: Arc::clone(&svc.shared),
             max_frame: config.max_frame,
         }));
     }
 
     let reactor = Reactor::new(
         listener,
-        Arc::clone(&shared),
+        Arc::clone(&svc.shared),
         config.max_connections,
         config.max_frame,
         config.handshake_timeout,
     )?;
     threads.push(std::thread::spawn(move || reactor.run()));
 
-    Ok(ServiceHandle { addr, stats, catalog, shared, role, threads })
+    Ok(ServiceHandle { addr, svc, threads })
 }
 
 /// One worker wake: drive the connection as far as one answered request
 /// allows, then hand it back — to the ready queue, to the reactor, or to
 /// the grave.
-#[allow(clippy::too_many_arguments)]
-fn serve_wake(
-    conn: &Arc<Conn>,
-    ws: &mut WorkerScratch,
-    catalog: &Catalog,
-    coll_stats: &PerCollectionStats,
-    config: &ServiceConfig,
-    stats: &ServiceStats,
-    shared: &Shared,
-    role: &ReplicationRole,
-) {
+fn serve_wake(conn: &Arc<Conn>, ws: &mut WorkerScratch, svc: &Service) {
     let verdict = {
         let mut state = conn.state.lock();
-        drive(conn, &mut state, ws, catalog, coll_stats, config, stats, shared, role)
+        drive(conn, &mut state, ws, svc)
     };
+    let (stats, shared) = (&svc.stats, &svc.shared);
     match verdict {
         Wake::Requeue => {
             if let Err(conn) = shared.ready.push(Arc::clone(conn), stats) {
@@ -642,18 +640,8 @@ fn serve_wake(
 }
 
 /// The per-wake state machine, run under the connection's state lock.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    conn: &Conn,
-    st: &mut ConnState,
-    ws: &mut WorkerScratch,
-    catalog: &Catalog,
-    coll_stats: &PerCollectionStats,
-    config: &ServiceConfig,
-    stats: &ServiceStats,
-    shared: &Shared,
-    role: &ReplicationRole,
-) -> Wake {
+fn drive(conn: &Conn, st: &mut ConnState, ws: &mut WorkerScratch, svc: &Service) -> Wake {
+    let (config, stats, shared) = (&svc.config, &*svc.stats, &*svc.shared);
     // Step 1: move buffered reply bytes toward the kernel. A connection
     // with replies still pending after the flush serves nothing new —
     // that is the backpressure that stops a peer from pipelining fresh
@@ -681,7 +669,8 @@ fn drive(
             Err(e) => {
                 // Framing violation: answer, then close — byte-positional
                 // framing has no resynchronization point.
-                send_error(&mut st.write_buf, &mut ws.encode, stats, e.error_code(), e.to_string());
+                let refusal = (e.error_code(), e.to_string());
+                send_reply(&mut st.write_buf, &mut ws.encode, stats, None, Err(refusal));
                 st.closing = true;
                 return finish_closing(conn, st, config, shared);
             }
@@ -724,22 +713,7 @@ fn drive(
     // poisoning, so the backend stays serviceable too); tell the peer it
     // hit a server bug, not a network failure.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if st.ready {
-            serve_frame(
-                st,
-                ws,
-                frame,
-                wire_bytes as u64,
-                catalog,
-                coll_stats,
-                config,
-                stats,
-                shared,
-                role,
-            )
-        } else {
-            serve_hello(st, ws, frame, catalog, stats)
-        }
+        serve_frame(st, ws, frame, wire_bytes as u64, svc)
     }));
     let fate = match outcome {
         Ok(fate) => fate,
@@ -749,13 +723,8 @@ fn drive(
             // one; the determinism contract needs valid, not clean,
             // state, and a poisoned buffer must not serve the next peer.
             *ws = WorkerScratch { reported: ws.reported, ..WorkerScratch::default() };
-            send_error(
-                &mut st.write_buf,
-                &mut ws.encode,
-                stats,
-                ErrorCode::Internal,
-                "server failed while answering".into(),
-            );
+            let refusal = (ErrorCode::Internal, "server failed while answering".into());
+            send_reply(&mut st.write_buf, &mut ws.encode, stats, None, Err(refusal));
             ConnFate::Close
         }
     };
@@ -882,53 +851,12 @@ fn flush(conn: &Conn, st: &mut ConnState) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Handles the first frame of a connection, which must be a `Hello` with
-/// a compatible dimensionality. The handshake describes the `"default"`
-/// collection — the one nameless frames route to; against a catalog with
-/// no default collection the ack reports `dim = 0` (heterogeneous; use
-/// `ListCollections`) and the catalog-wide live total, and only a
-/// `dim = 0` Hello passes.
-fn serve_hello(
-    st: &mut ConnState,
-    ws: &mut WorkerScratch,
-    frame: Frame,
-    catalog: &Catalog,
-    stats: &ServiceStats,
-) -> ConnFate {
-    let encode = &mut ws.encode;
-    match frame {
-        Frame::Hello { dim } => {
-            let default = catalog.default_collection();
-            let (served_dim, live) = match &default {
-                Some(coll) => (coll.dim() as u64, coll.live_len() as u64),
-                None => (0, catalog.total_live() as u64),
-            };
-            if dim != 0 && dim != served_dim {
-                let detail = match default {
-                    Some(_) => format!("server dim {served_dim}, client dim {dim}"),
-                    None => format!(
-                        "no default collection to check dim {dim} against — \
-                         send dim 0 and pick a collection by name"
-                    ),
-                };
-                send_error(&mut st.write_buf, encode, stats, ErrorCode::DimMismatch, detail);
-                return ConnFate::Close;
-            }
-            st.ready = true;
-            send(&mut st.write_buf, encode, stats, &Frame::HelloAck { dim: served_dim, live });
-            ConnFate::Keep
-        }
-        _ => {
-            send_error(
-                &mut st.write_buf,
-                encode,
-                stats,
-                ErrorCode::BadRequest,
-                "expected Hello first".into(),
-            );
-            ConnFate::Close
-        }
-    }
+/// A refused request: the code and message of the `Error` frame that
+/// answers it.
+type Refusal = (ErrorCode, String);
+
+fn bad_request(message: impl Into<String>) -> Refusal {
+    (ErrorCode::BadRequest, message.into())
 }
 
 /// Resolves a request's collection reference: the raw wire name (or the
@@ -940,7 +868,7 @@ fn resolve_collection(
     collection: &Option<WireName>,
     catalog: &Catalog,
     coll_stats: &PerCollectionStats,
-) -> Result<(Arc<Collection>, Arc<ServiceStats>), (ErrorCode, String)> {
+) -> Result<(Arc<Collection>, Arc<ServiceStats>), Refusal> {
     let name = match collection {
         None => DEFAULT_COLLECTION,
         Some(bytes) => decode_name(bytes)?,
@@ -962,10 +890,10 @@ fn resolve_collection(
 /// Decodes and validates an owner-supplied collection name for the
 /// catalog-management frames (stricter than [`resolve_collection`]: no
 /// default fallback, existence is checked by the caller).
-fn decode_name(name: &[u8]) -> Result<&str, (ErrorCode, String)> {
-    let name = std::str::from_utf8(name)
-        .map_err(|_| (ErrorCode::BadRequest, "collection name is not UTF-8".to_string()))?;
-    validate_collection_name(name).map_err(|e| (ErrorCode::BadRequest, e.to_string()))?;
+fn decode_name(name: &[u8]) -> Result<&str, Refusal> {
+    let name =
+        std::str::from_utf8(name).map_err(|_| bad_request("collection name is not UTF-8"))?;
+    validate_collection_name(name).map_err(|e| bad_request(e.to_string()))?;
     Ok(name)
 }
 
@@ -986,7 +914,7 @@ fn create_collection_locked(
     config: &ServiceConfig,
     name: &str,
     dim: u64,
-) -> Result<(), (ErrorCode, String)> {
+) -> Result<(), Refusal> {
     // Stats slot first: a collection visible in the catalog must always
     // have one (`resolve_collection` treats a missing slot as a
     // concurrent drop). On a duplicate create this returns the live
@@ -995,10 +923,7 @@ fn create_collection_locked(
     let db = EncryptedDatabase::empty(dim as usize);
     let Some(dir) = &config.data_dir else {
         // In-memory-only catalog: reserve the name, nothing to persist.
-        return catalog
-            .create(name, db)
-            .map(|_| ())
-            .map_err(|e| (ErrorCode::BadRequest, e.to_string()));
+        return catalog.create(name, db).map(|_| ()).map_err(|e| bad_request(e.to_string()));
     };
     // Disk-backed catalog: `create_durable` reserves the name, then
     // writes the empty snapshot and its sealed WAL atomically (temp +
@@ -1010,7 +935,7 @@ fn create_collection_locked(
         Ok(_) => Ok(()),
         // Duplicate name — nothing was built, no file was touched, and
         // the slot belongs to the live collection.
-        Err(DurableCatalogError::Catalog(e)) => Err((ErrorCode::BadRequest, e.to_string())),
+        Err(DurableCatalogError::Catalog(e)) => Err(bad_request(e.to_string())),
         Err(DurableCatalogError::Persist(e)) => {
             // The name was free but persistence failed, so the slot is
             // the one registered above — roll it back.
@@ -1029,7 +954,7 @@ fn drop_collection_locked(
     coll_stats: &PerCollectionStats,
     config: &ServiceConfig,
     name: &str,
-) -> Result<(), (ErrorCode, String)> {
+) -> Result<(), Refusal> {
     let Some(coll) = catalog.get(name) else {
         return Err((ErrorCode::UnknownCollection, format!("unknown collection `{name}`")));
     };
@@ -1080,503 +1005,331 @@ fn drop_collection_locked(
     }
 }
 
-/// Answers one post-handshake request frame into the connection's write
-/// buffer. `ConnFate::Close` means flush-then-close (the reply — if any —
-/// still reaches the peer).
-#[allow(clippy::too_many_arguments)]
+/// A refused mutation: a storage failure is the server's (`Internal`),
+/// every other refusal is the request's (`BadRequest`).
+fn refused(e: MutationError) -> Refusal {
+    let code = match e {
+        MutationError::Storage(_) => ErrorCode::Internal,
+        _ => ErrorCode::BadRequest,
+    };
+    (code, e.to_string())
+}
+
+/// Answers one frame into the connection's write buffer: the handshake
+/// `Hello` on a fresh connection, a request after it. Every reply and
+/// every refusal leaves through [`send_reply`]. `ConnFate::Close` means
+/// flush-then-close (the reply still reaches the peer): a refused
+/// handshake and an acknowledged `Shutdown` close.
 fn serve_frame(
     st: &mut ConnState,
     ws: &mut WorkerScratch,
     frame: Frame,
     frame_bytes: u64,
-    catalog: &Catalog,
-    coll_stats: &PerCollectionStats,
-    config: &ServiceConfig,
-    stats: &ServiceStats,
-    shared: &Shared,
-    role: &ReplicationRole,
+    svc: &Service,
 ) -> ConnFate {
-    // Disjoint borrows of the worker scratch: the query buffers feed the
-    // search arms while the encode buffer stages every reply.
-    let WorkerScratch { query: wsq, encode, .. } = ws;
-    let out = &mut st.write_buf;
-    match frame {
-        Frame::Search { collection, params, query } => {
-            let (coll, cstats) = match resolve_collection(&collection, catalog, coll_stats) {
-                Ok(found) => found,
-                Err((code, msg)) => {
-                    send_error(out, encode, stats, code, msg);
-                    return ConnFate::Keep;
-                }
-            };
-            cstats.add_bytes_in(frame_bytes);
-            if let Some(msg) = validate_query(&query, &params, coll.dim(), config) {
-                send_error_counted(out, encode, &[stats, &cstats], ErrorCode::BadRequest, msg);
-                return ConnFate::Keep;
-            }
-            let started = Instant::now();
-            let outcome = coll.search_in(wsq, &query, &params);
-            let elapsed = started.elapsed();
-            stats.record_query(elapsed);
-            cstats.record_query(elapsed);
-            send_counted(out, encode, &[stats, &cstats], &Frame::SearchResult(outcome));
-            ConnFate::Keep
+    let mut req = Request { svc, frame_bytes, routed: None };
+    let handshake = !st.ready;
+    let answer = if handshake { hello(svc, frame) } else { req.answer(frame, &mut ws.query) };
+    let shutdown = matches!(answer, Ok(Frame::ShutdownAck));
+    st.ready |= answer.is_ok();
+    let fate =
+        if shutdown || (handshake && answer.is_err()) { ConnFate::Close } else { ConnFate::Keep };
+    send_reply(&mut st.write_buf, &mut ws.encode, &svc.stats, req.routed.as_deref(), answer);
+    if shutdown {
+        // Raise the flag *and* wake the reactor so teardown starts now,
+        // not at its next deadline.
+        svc.shared.request_stop();
+    }
+    fate
+}
+
+/// Handles the first frame of a connection, which must be a `Hello` with
+/// a compatible dimensionality. The handshake describes the `"default"`
+/// collection — the one nameless frames route to; against a catalog with
+/// no default collection the ack reports `dim = 0` (heterogeneous; use
+/// `ListCollections`) and the catalog-wide live total, and only a
+/// `dim = 0` Hello passes.
+fn hello(svc: &Service, frame: Frame) -> Result<Frame, Refusal> {
+    let Frame::Hello { dim } = frame else {
+        return Err(bad_request("expected Hello first"));
+    };
+    let default = svc.catalog.default_collection();
+    let (served_dim, live) = match &default {
+        Some(coll) => (coll.dim() as u64, coll.live_len() as u64),
+        None => (0, svc.catalog.total_live() as u64),
+    };
+    if dim != 0 && dim != served_dim {
+        let detail = match default {
+            Some(_) => format!("server dim {served_dim}, client dim {dim}"),
+            None => format!(
+                "no default collection to check dim {dim} against — \
+                 send dim 0 and pick a collection by name"
+            ),
+        };
+        return Err((ErrorCode::DimMismatch, detail));
+    }
+    Ok(Frame::HelloAck { dim: served_dim, live })
+}
+
+/// One post-handshake request being answered, and where its accounting
+/// goes.
+struct Request<'a> {
+    svc: &'a Service,
+    /// The request frame's wire size.
+    frame_bytes: u64,
+    /// The stats slot of the collection the request was routed to. From
+    /// routing on, the request's bytes, its reply and a refusal count
+    /// against the collection as well as process-wide; a refusal before
+    /// routing counts process-wide only.
+    routed: Option<Arc<ServiceStats>>,
+}
+
+impl Request<'_> {
+    /// Routes the request to the collection it names (a nameless legacy
+    /// frame to `"default"`).
+    fn route(
+        &mut self,
+        name: &Option<WireName>,
+    ) -> Result<(Arc<Collection>, Arc<ServiceStats>), Refusal> {
+        let (coll, cstats) = resolve_collection(name, &self.svc.catalog, &self.svc.coll_stats)?;
+        cstats.add_bytes_in(self.frame_bytes);
+        self.routed = Some(Arc::clone(&cstats));
+        Ok((coll, cstats))
+    }
+
+    /// The gate of every owner frame: a follower refuses `mutating` ones
+    /// outright (reads are never gated — scaling them out is the point),
+    /// then the owner token must match.
+    fn owner(&self, token: u64, mutating: bool) -> Result<(), Refusal> {
+        if mutating && !self.svc.role.is_primary() {
+            return Err((
+                ErrorCode::NotPrimary,
+                "this node is a read-only follower — send writes to the primary".into(),
+            ));
         }
-        Frame::SearchBatch { collection, params, queries } => {
-            let (coll, cstats) = match resolve_collection(&collection, catalog, coll_stats) {
-                Ok(found) => found,
-                Err((code, msg)) => {
-                    send_error(out, encode, stats, code, msg);
-                    return ConnFate::Keep;
-                }
-            };
-            cstats.add_bytes_in(frame_bytes);
-            // An empty batch is well-formed on the wire but answers
-            // nothing — refuse it rather than invent an empty reply a
-            // buggy client would silently accept.
-            if queries.is_empty() {
-                send_error_counted(
-                    out,
-                    encode,
-                    &[stats, &cstats],
-                    ErrorCode::BadRequest,
-                    "empty batch".into(),
-                );
-                return ConnFate::Keep;
+        if self.svc.config.owner_token != Some(token) {
+            return Err((ErrorCode::Unauthorized, "bad owner token".into()));
+        }
+        Ok(())
+    }
+
+    /// Applies `record` to the process-wide counters and, once routed,
+    /// to the collection's.
+    fn count(&self, record: impl Fn(&ServiceStats)) {
+        record(&self.svc.stats);
+        if let Some(cstats) = &self.routed {
+            record(cstats);
+        }
+    }
+
+    /// Answers one post-handshake request: its reply frame, or the
+    /// refusal. `scratch` is the worker's warm query scratch.
+    fn answer(&mut self, frame: Frame, scratch: &mut QueryScratch) -> Result<Frame, Refusal> {
+        let svc = self.svc;
+        let config = &svc.config;
+        match frame {
+            Frame::Search { collection, params, query } => {
+                let (coll, _) = self.route(&collection)?;
+                validate_query(&query, &params, coll.dim(), config).map_err(bad_request)?;
+                let started = Instant::now();
+                let outcome = coll.search_in(scratch, &query, &params);
+                let elapsed = started.elapsed();
+                self.count(|s| s.record_query(elapsed));
+                Ok(Frame::SearchResult(outcome))
             }
-            // The batch bound caps the total work one frame can demand
-            // (max_batch × max_search_k knob-sized searches) and bounds
-            // how long this worker is occupied — the other workers keep
-            // consuming the ready queue meanwhile, so a giant batch
-            // cannot starve keep-alive peers.
-            if queries.len() > config.max_batch {
-                send_error_counted(
-                    out,
-                    encode,
-                    &[stats, &cstats],
-                    ErrorCode::BadRequest,
-                    format!(
+            Frame::SearchBatch { collection, params, queries } => {
+                let (coll, _) = self.route(&collection)?;
+                // An empty batch is well-formed on the wire but answers
+                // nothing — refuse it rather than invent an empty reply a
+                // buggy client would silently accept.
+                if queries.is_empty() {
+                    return Err(bad_request("empty batch"));
+                }
+                // The batch bound caps the total work one frame can demand
+                // (max_batch × max_search_k knob-sized searches) and bounds
+                // how long this worker is occupied — the other workers keep
+                // consuming the ready queue meanwhile, so a giant batch
+                // cannot starve keep-alive peers.
+                if queries.len() > config.max_batch {
+                    return Err(bad_request(format!(
                         "batch of {} queries exceeds the {} limit",
                         queries.len(),
                         config.max_batch
-                    ),
-                );
-                return ConnFate::Keep;
-            }
-            let dim = coll.dim();
-            for (qi, query) in queries.iter().enumerate() {
-                if let Some(msg) = validate_query(query, &params, dim, config) {
-                    send_error_counted(
-                        out,
-                        encode,
-                        &[stats, &cstats],
-                        ErrorCode::BadRequest,
-                        format!("batch query {qi}: {msg}"),
-                    );
-                    return ConnFate::Keep;
+                    )));
                 }
-            }
-            // The reply must also be deliverable: each result encodes to
-            // at most 56 + 12·k bytes, so a batch whose summed k would
-            // overflow the frame-size limit is refused *before* the
-            // searches run — otherwise the server would burn the whole
-            // batch of work (or, past u32::MAX, panic in the encoder) on
-            // a frame no peer with the same limit could accept.
-            let reply_bound: u64 = 8 + queries.iter().map(|q| 56 + 12 * q.k as u64).sum::<u64>();
-            if reply_bound > config.max_frame as u64 {
-                send_error_counted(
-                    out,
-                    encode,
-                    &[stats, &cstats],
-                    ErrorCode::BadRequest,
-                    format!(
+                for (qi, query) in queries.iter().enumerate() {
+                    validate_query(query, &params, coll.dim(), config)
+                        .map_err(|msg| bad_request(format!("batch query {qi}: {msg}")))?;
+                }
+                // The reply must also be deliverable: each result encodes
+                // to at most 56 + 12·k bytes, so a batch whose summed k
+                // would overflow the frame-size limit is refused *before*
+                // the searches run — otherwise the server would burn the
+                // whole batch of work (or, past u32::MAX, panic in the
+                // encoder) on a frame no peer with the same limit could
+                // accept.
+                let reply_bound: u64 =
+                    8 + queries.iter().map(|q| 56 + 12 * q.k as u64).sum::<u64>();
+                if reply_bound > config.max_frame as u64 {
+                    return Err(bad_request(format!(
                         "batch reply could reach {reply_bound} bytes, above the {} frame limit — \
                          lower the batch size or k",
                         config.max_frame
-                    ),
-                );
-                return ConnFate::Keep;
-            }
-            // Fan the batch across `batch_threads` scoped workers
-            // (clamped to the batch size), each query searching under the
-            // collection's shared lock.
-            let started = Instant::now();
-            let outcomes = BatchExecutor::new(Arc::clone(&coll), config.effective_batch_threads())
-                .run(&queries, &params)
-                .outcomes;
-            // Every query in the batch completes when its frame's reply
-            // does, so each records the frame's service-layer wall time —
-            // the same arrival-to-answer quantity the single-Search path
-            // records, keeping one histogram comparable across both paths
-            // (per-query backend times still travel in each outcome's
-            // `cost.server_time`).
-            let elapsed = started.elapsed();
-            for _ in &outcomes {
-                stats.record_query(elapsed);
-                cstats.record_query(elapsed);
-            }
-            send_counted(out, encode, &[stats, &cstats], &Frame::SearchBatchResult(outcomes));
-            ConnFate::Keep
-        }
-        Frame::Insert { collection, token, c_sap, c_dce } => {
-            if let Some(msg) = follower_refusal(role) {
-                send_error(out, encode, stats, ErrorCode::NotPrimary, msg);
-                return ConnFate::Keep;
-            }
-            if !authorized(config, token) {
-                send_error(out, encode, stats, ErrorCode::Unauthorized, "bad owner token".into());
-                return ConnFate::Keep;
-            }
-            let (coll, cstats) = match resolve_collection(&collection, catalog, coll_stats) {
-                Ok(found) => found,
-                Err((code, msg)) => {
-                    send_error(out, encode, stats, code, msg);
-                    return ConnFate::Keep;
+                    )));
                 }
-            };
-            cstats.add_bytes_in(frame_bytes);
-            let dim = coll.dim();
-            if c_sap.len() != dim {
-                send_error_counted(
-                    out,
-                    encode,
-                    &[stats, &cstats],
-                    ErrorCode::BadRequest,
-                    format!("insert dim {} != served dim {dim}", c_sap.len()),
-                );
-                return ConnFate::Keep;
-            }
-            // A wrong-shape DCE ciphertext would be stored silently and
-            // poison every later refine that touches it — reject here.
-            let expected = ppann_dce::ciphertext_dim(dim);
-            if c_dce.component_dim() != expected {
-                send_error_counted(
-                    out,
-                    encode,
-                    &[stats, &cstats],
-                    ErrorCode::BadRequest,
-                    format!("DCE component dim {} != expected {expected}", c_dce.component_dim()),
-                );
-                return ConnFate::Keep;
-            }
-            // WAL-first: the mutation is logged (and synced per the
-            // fsync policy) before it is applied, and the ack is sent
-            // only after both. A log append failure leaves the backend
-            // untouched — the client gets an error, not an ack for a
-            // mutation that would vanish on restart.
-            let id = match coll.insert(c_sap, c_dce) {
-                Ok(id) => id,
-                Err(e) => {
-                    send_error_counted(
-                        out,
-                        encode,
-                        &[stats, &cstats],
-                        ErrorCode::Internal,
-                        format!("write-ahead log append failed: {e}"),
-                    );
-                    return ConnFate::Keep;
+                // Fan the batch across `batch_threads` scoped workers
+                // (clamped to the batch size), each query searching under
+                // the collection's shared lock; a one-thread batch runs
+                // inline through this worker's warm scratch.
+                let started = Instant::now();
+                let outcomes = BatchExecutor::new(coll, config.effective_batch_threads())
+                    .run_in(scratch, &queries, &params)
+                    .outcomes;
+                // Every query in the batch completes when its frame's
+                // reply does, so each records the frame's service-layer
+                // wall time — the same arrival-to-answer quantity the
+                // single-Search path records, keeping one histogram
+                // comparable across both paths (per-query backend times
+                // still travel in each outcome's `cost.server_time`).
+                let elapsed = started.elapsed();
+                for _ in &outcomes {
+                    self.count(|s| s.record_query(elapsed));
                 }
-            };
-            stats.record_insert();
-            cstats.record_insert();
-            send_counted(out, encode, &[stats, &cstats], &Frame::InsertAck { id });
-            ConnFate::Keep
-        }
-        Frame::Delete { collection, token, id } => {
-            if let Some(msg) = follower_refusal(role) {
-                send_error(out, encode, stats, ErrorCode::NotPrimary, msg);
-                return ConnFate::Keep;
+                Ok(Frame::SearchBatchResult(outcomes))
             }
-            if !authorized(config, token) {
-                send_error(out, encode, stats, ErrorCode::Unauthorized, "bad owner token".into());
-                return ConnFate::Keep;
+            Frame::Insert { collection, token, c_sap, c_dce } => {
+                self.owner(token, true)?;
+                let (coll, _) = self.route(&collection)?;
+                let id = coll.insert(c_sap, c_dce).map_err(refused)?;
+                self.count(ServiceStats::record_insert);
+                Ok(Frame::InsertAck { id })
             }
-            let (coll, cstats) = match resolve_collection(&collection, catalog, coll_stats) {
-                Ok(found) => found,
-                Err((code, msg)) => {
-                    send_error(out, encode, stats, code, msg);
-                    return ConnFate::Keep;
+            Frame::Delete { collection, token, id } => {
+                self.owner(token, true)?;
+                let (coll, _) = self.route(&collection)?;
+                if !coll.try_delete(id).map_err(refused)? {
+                    return Err(refused(MutationError::NotLive(id)));
                 }
-            };
-            cstats.add_bytes_in(frame_bytes);
-            // Same WAL-first discipline as Insert: logged before applied,
-            // acked only after both.
-            match coll.try_delete(id) {
-                Ok(true) => {
-                    stats.record_delete();
-                    cstats.record_delete();
-                    send_counted(out, encode, &[stats, &cstats], &Frame::DeleteAck);
-                    ConnFate::Keep
+                self.count(ServiceStats::record_delete);
+                Ok(Frame::DeleteAck)
+            }
+            Frame::Stats { collection: None } => {
+                // Aggregate view: process-wide counters, catalog-wide
+                // live, plus the reactor's connection gauges.
+                Ok(Frame::StatsReply(svc.stats.snapshot(svc.catalog.total_live() as u64)))
+            }
+            Frame::Stats { collection: collection @ Some(_) } => {
+                let (coll, cstats) = self.route(&collection)?;
+                // The per-collection slot counts the frames routed to this
+                // collection, but the connection gauges are reactor state —
+                // connections are not owned by any collection, so the
+                // slot's own gauges stay zero forever. Report the
+                // process-global gauges instead of misreporting "0
+                // connections" next to real per-collection request
+                // counters (PROTOCOL.md §3.10).
+                let stats = &svc.stats;
+                let mut snap = cstats.snapshot(coll.live_len() as u64);
+                snap.conns_parked = stats.conns_parked();
+                snap.conns_active = stats.conns_active();
+                snap.ready_depth = stats.ready_depth();
+                snap.scratch_bytes = stats.scratch_bytes();
+                Ok(Frame::StatsReply(snap))
+            }
+            Frame::ListCollections => Ok(Frame::ListCollectionsReply(
+                svc.catalog
+                    .list()
+                    .into_iter()
+                    .map(|info| CollectionEntry {
+                        name: info.name,
+                        dim: info.dim as u64,
+                        live: info.live as u64,
+                        kind: COLLECTION_KIND_CLOUD,
+                        shards: 1,
+                    })
+                    .collect(),
+            )),
+            Frame::CreateCollection { token, name, dim, shards } => {
+                self.owner(token, true)?;
+                let name = decode_name(&name)?;
+                if dim == 0 || dim > MAX_CREATE_DIM {
+                    return Err(bad_request(format!(
+                        "collection dim must be in 1..={MAX_CREATE_DIM}, got {dim}"
+                    )));
                 }
-                Ok(false) => {
-                    send_error_counted(
-                        out,
-                        encode,
-                        &[stats, &cstats],
-                        ErrorCode::BadRequest,
-                        format!("id {id} out of range or already deleted"),
-                    );
-                    ConnFate::Keep
+                // Every collection is one index; the field stays on the
+                // wire for byte compatibility (PROTOCOL.md §3.17).
+                if shards != 1 {
+                    return Err(bad_request(format!(
+                        "shards must be 1 (sharded collections are retired), got {shards}"
+                    )));
                 }
-                Err(e) => {
-                    send_error_counted(
-                        out,
-                        encode,
-                        &[stats, &cstats],
-                        ErrorCode::Internal,
-                        format!("write-ahead log append failed: {e}"),
-                    );
-                    ConnFate::Keep
-                }
+                // The mutation runs under the lifecycle lock, which is
+                // released before the reply is buffered (and the reply
+                // write is non-blocking anyway) — an owner connection that
+                // stops reading cannot stall other lifecycle frames.
+                let _lifecycle = svc.coll_stats.lock_lifecycle();
+                create_collection_locked(&svc.catalog, &svc.coll_stats, config, name, dim)?;
+                Ok(Frame::CreateCollectionAck)
             }
-        }
-        Frame::Stats { collection: None } => {
-            // Aggregate view: process-wide counters, catalog-wide live,
-            // plus the reactor's connection gauges.
-            let snap = stats.snapshot(catalog.total_live() as u64);
-            send(out, encode, stats, &Frame::StatsReply(snap));
-            ConnFate::Keep
-        }
-        Frame::Stats { collection: collection @ Some(_) } => {
-            let (coll, cstats) = match resolve_collection(&collection, catalog, coll_stats) {
-                Ok(found) => found,
-                Err((code, msg)) => {
-                    send_error(out, encode, stats, code, msg);
-                    return ConnFate::Keep;
-                }
-            };
-            cstats.add_bytes_in(frame_bytes);
-            // The per-collection slot counts the frames routed to this
-            // collection, but the connection gauges are reactor state —
-            // connections are not owned by any collection, so the slot's
-            // own gauges stay zero forever. Report the process-global
-            // gauges instead of misreporting "0 connections" next to
-            // real per-collection request counters (PROTOCOL.md §3.10).
-            let mut snap = cstats.snapshot(coll.live_len() as u64);
-            snap.conns_parked = stats.conns_parked();
-            snap.conns_active = stats.conns_active();
-            snap.ready_depth = stats.ready_depth();
-            snap.scratch_bytes = stats.scratch_bytes();
-            send_counted(out, encode, &[stats, &cstats], &Frame::StatsReply(snap));
-            ConnFate::Keep
-        }
-        Frame::ListCollections => {
-            let entries: Vec<CollectionEntry> = catalog
-                .list()
-                .into_iter()
-                .map(|info| CollectionEntry {
-                    name: info.name,
-                    dim: info.dim as u64,
-                    live: info.live as u64,
-                    kind: COLLECTION_KIND_CLOUD,
-                    shards: 1,
-                })
-                .collect();
-            send(out, encode, stats, &Frame::ListCollectionsReply(entries));
-            ConnFate::Keep
-        }
-        Frame::CreateCollection { token, name, dim, shards } => {
-            if let Some(msg) = follower_refusal(role) {
-                send_error(out, encode, stats, ErrorCode::NotPrimary, msg);
-                return ConnFate::Keep;
+            Frame::DropCollection { token, name } => {
+                self.owner(token, true)?;
+                let name = decode_name(&name)?;
+                // Same locking discipline as CreateCollection.
+                let _lifecycle = svc.coll_stats.lock_lifecycle();
+                drop_collection_locked(&svc.catalog, &svc.coll_stats, config, name)?;
+                Ok(Frame::DropCollectionAck)
             }
-            if !authorized(config, token) {
-                send_error(out, encode, stats, ErrorCode::Unauthorized, "bad owner token".into());
-                return ConnFate::Keep;
+            Frame::Shutdown { token } => {
+                self.owner(token, false)?;
+                Ok(Frame::ShutdownAck)
             }
-            let name = match decode_name(&name) {
-                Ok(name) => name.to_string(),
-                Err((code, msg)) => {
-                    send_error(out, encode, stats, code, msg);
-                    return ConnFate::Keep;
-                }
-            };
-            if dim == 0 || dim > MAX_CREATE_DIM {
-                send_error(
-                    out,
-                    encode,
-                    stats,
-                    ErrorCode::BadRequest,
-                    format!("collection dim must be in 1..={MAX_CREATE_DIM}, got {dim}"),
-                );
-                return ConnFate::Keep;
+            Frame::Promote { token } => {
+                // Manual promotion: owner-authenticated, idempotent (a
+                // primary acks too). The sync threads observe the flip and
+                // wind down; consensus-driven promotion is the documented
+                // upgrade path (OPERATIONS.md §10).
+                self.owner(token, false)?;
+                svc.role.promote();
+                Ok(Frame::PromoteAck)
             }
-            // Every collection is one index; the field stays on the
-            // wire for byte compatibility (PROTOCOL.md §3.17).
-            if shards != 1 {
-                send_error(
-                    out,
-                    encode,
-                    stats,
-                    ErrorCode::BadRequest,
-                    format!("shards must be 1 (sharded collections are retired), got {shards}"),
-                );
-                return ConnFate::Keep;
+            // Replication pulls: the follower names a collection and its
+            // applied position; the reply is a `SnapshotChunk`
+            // (bootstrap/reseal) or a `WalSegment` (steady state). The
+            // only "session state" a pull needs is the follower's own
+            // offsets, which it carries in every request.
+            Frame::ReplicaHello { collection, seal_len, seal_crc, snapshot_offset, log_offset } => {
+                let (coll, _) = self.route(&Some(collection))?;
+                let seal = SnapshotId { len: seal_len, crc: seal_crc };
+                replication::serve_pull(&coll, seal, Some(snapshot_offset), log_offset)
             }
-            // The mutation runs under the lifecycle lock; the lock is
-            // released before the reply is buffered, and the reply write
-            // is non-blocking anyway — an owner connection that stops
-            // reading cannot stall other lifecycle frames.
-            let lifecycle_outcome = {
-                let _lifecycle = coll_stats.lifecycle.lock();
-                create_collection_locked(catalog, coll_stats, config, &name, dim)
-            };
-            match lifecycle_outcome {
-                Ok(()) => send(out, encode, stats, &Frame::CreateCollectionAck),
-                Err((code, msg)) => send_error(out, encode, stats, code, msg),
+            Frame::ReplicaAck { collection, seal_len, seal_crc, applied_offset } => {
+                let (coll, _) = self.route(&Some(collection))?;
+                let seal = SnapshotId { len: seal_len, crc: seal_crc };
+                replication::serve_pull(&coll, seal, None, applied_offset)
             }
-            ConnFate::Keep
+            // Replies and a second Hello are protocol violations from a
+            // client; answer and keep the connection (stream sync intact).
+            Frame::Hello { .. }
+            | Frame::HelloAck { .. }
+            | Frame::SearchResult(_)
+            | Frame::SearchBatchResult(_)
+            | Frame::InsertAck { .. }
+            | Frame::DeleteAck
+            | Frame::StatsReply(_)
+            | Frame::ShutdownAck
+            | Frame::CreateCollectionAck
+            | Frame::DropCollectionAck
+            | Frame::ListCollectionsReply(_)
+            | Frame::WalSegment { .. }
+            | Frame::SnapshotChunk { .. }
+            | Frame::PromoteAck
+            | Frame::Error { .. } => Err(bad_request("unexpected frame direction")),
         }
-        Frame::DropCollection { token, name } => {
-            if let Some(msg) = follower_refusal(role) {
-                send_error(out, encode, stats, ErrorCode::NotPrimary, msg);
-                return ConnFate::Keep;
-            }
-            if !authorized(config, token) {
-                send_error(out, encode, stats, ErrorCode::Unauthorized, "bad owner token".into());
-                return ConnFate::Keep;
-            }
-            let name = match decode_name(&name) {
-                Ok(name) => name.to_string(),
-                Err((code, msg)) => {
-                    send_error(out, encode, stats, code, msg);
-                    return ConnFate::Keep;
-                }
-            };
-            // Same locking discipline as CreateCollection: mutate under
-            // the lifecycle lock, reply after releasing it.
-            let lifecycle_outcome = {
-                let _lifecycle = coll_stats.lifecycle.lock();
-                drop_collection_locked(catalog, coll_stats, config, &name)
-            };
-            match lifecycle_outcome {
-                Ok(()) => send(out, encode, stats, &Frame::DropCollectionAck),
-                Err((code, msg)) => send_error(out, encode, stats, code, msg),
-            }
-            ConnFate::Keep
-        }
-        Frame::Shutdown { token } => {
-            if !authorized(config, token) {
-                send_error(out, encode, stats, ErrorCode::Unauthorized, "bad owner token".into());
-                return ConnFate::Keep;
-            }
-            send(out, encode, stats, &Frame::ShutdownAck);
-            // Raise the flag *and* wake the reactor so teardown starts
-            // now, not at its next deadline.
-            shared.request_stop();
-            ConnFate::Close
-        }
-        Frame::Promote { token } => {
-            // Manual promotion: owner-authenticated, idempotent (a
-            // primary acks too). The sync threads observe the flip and
-            // wind down; consensus-driven promotion is the documented
-            // upgrade path (OPERATIONS.md §10).
-            if !authorized(config, token) {
-                send_error(out, encode, stats, ErrorCode::Unauthorized, "bad owner token".into());
-                return ConnFate::Keep;
-            }
-            role.promote();
-            send(out, encode, stats, &Frame::PromoteAck);
-            ConnFate::Keep
-        }
-        Frame::ReplicaHello { collection, seal_len, seal_crc, snapshot_offset, log_offset } => {
-            serve_replica_pull(
-                st,
-                encode,
-                &Some(collection),
-                ppann_core::wal::SnapshotId { len: seal_len, crc: seal_crc },
-                Some(snapshot_offset),
-                log_offset,
-                catalog,
-                coll_stats,
-                stats,
-            )
-        }
-        Frame::ReplicaAck { collection, seal_len, seal_crc, applied_offset } => serve_replica_pull(
-            st,
-            encode,
-            &Some(collection),
-            ppann_core::wal::SnapshotId { len: seal_len, crc: seal_crc },
-            None,
-            applied_offset,
-            catalog,
-            coll_stats,
-            stats,
-        ),
-        // Replies and a second Hello are protocol violations from a
-        // client; answer and keep the connection (stream sync intact).
-        Frame::Hello { .. }
-        | Frame::HelloAck { .. }
-        | Frame::SearchResult(_)
-        | Frame::SearchBatchResult(_)
-        | Frame::InsertAck { .. }
-        | Frame::DeleteAck
-        | Frame::StatsReply(_)
-        | Frame::ShutdownAck
-        | Frame::CreateCollectionAck
-        | Frame::DropCollectionAck
-        | Frame::ListCollectionsReply(_)
-        | Frame::WalSegment { .. }
-        | Frame::SnapshotChunk { .. }
-        | Frame::PromoteAck
-        | Frame::Error { .. } => {
-            send_error(
-                out,
-                encode,
-                stats,
-                ErrorCode::BadRequest,
-                "unexpected frame direction".into(),
-            );
-            ConnFate::Keep
-        }
-    }
-}
-
-/// Answers one replication pull (`ReplicaHello` or `ReplicaAck`): the
-/// follower names a collection and its applied position; the reply is a
-/// `SnapshotChunk` (bootstrap/reseal) or a `WalSegment` (steady state).
-/// Replication frames are served by the ordinary worker path — the only
-/// "session state" a pull needs is the follower's own offsets, which it
-/// carries in every request.
-#[allow(clippy::too_many_arguments)]
-fn serve_replica_pull(
-    st: &mut ConnState,
-    encode: &mut BytesMut,
-    collection: &Option<WireName>,
-    seal: ppann_core::wal::SnapshotId,
-    snapshot_offset: Option<u64>,
-    log_offset: u64,
-    catalog: &Catalog,
-    coll_stats: &PerCollectionStats,
-    stats: &ServiceStats,
-) -> ConnFate {
-    let out = &mut st.write_buf;
-    let (coll, cstats) = match resolve_collection(collection, catalog, coll_stats) {
-        Ok(found) => found,
-        Err((code, msg)) => {
-            send_error(out, encode, stats, code, msg);
-            return ConnFate::Keep;
-        }
-    };
-    match replication::serve_pull(&coll, seal, snapshot_offset, log_offset) {
-        Ok(reply) => send_counted(out, encode, &[stats, &cstats], &reply),
-        Err((code, msg)) => send_error_counted(out, encode, &[stats, &cstats], code, msg),
-    }
-    ConnFate::Keep
-}
-
-/// `Some` is the `NotPrimary` refusal for a mutating frame on a
-/// follower. Reads are never gated — scaling them out is the point.
-fn follower_refusal(role: &ReplicationRole) -> Option<String> {
-    if role.is_primary() {
-        None
-    } else {
-        Some("this node is a read-only follower — send writes to the primary".to_string())
     }
 }
 
 /// Validates one query's shape and knobs against the served configuration;
-/// `Some` is the `BadRequest` message to answer with. The three search
+/// `Err` is the `BadRequest` message to answer with. The three search
 /// knobs size server-side allocations and work, and all arrive as
 /// attacker-controlled integers: a `k` of 2^50 would ask the top-k heap
 /// for a petabyte reservation, and the allocation failure aborts the whole
@@ -1588,68 +1341,43 @@ fn validate_query(
     params: &SearchParams,
     dim: usize,
     config: &ServiceConfig,
-) -> Option<String> {
+) -> Result<(), String> {
     if query.c_sap.len() != dim {
-        return Some(format!("query dim {} != served dim {dim}", query.c_sap.len()));
+        return Err(format!("query dim {} != served dim {dim}", query.c_sap.len()));
     }
     let expected = ppann_dce::ciphertext_dim(dim);
     if query.trapdoor.dim() != expected {
-        return Some(format!("trapdoor dim {} != expected {expected}", query.trapdoor.dim()));
+        return Err(format!("trapdoor dim {} != expected {expected}", query.trapdoor.dim()));
     }
     let max = config.max_search_k;
     if query.k > max || params.k_prime > max || params.ef_search > max {
-        return Some(format!(
+        return Err(format!(
             "search knobs k={} k'={} ef={} exceed the {max} limit",
             query.k, params.k_prime, params.ef_search
         ));
     }
-    None
+    Ok(())
 }
 
-fn authorized(config: &ServiceConfig, token: u64) -> bool {
-    config.owner_token == Some(token)
-}
-
-/// Buffers one reply frame, crediting the bytes to every stats sink (the
-/// process-wide counters plus, on collection-routed replies, the
-/// collection's). Buffering cannot fail; delivery failures surface at
-/// flush time, where the connection is closed.
-fn send_counted(out: &mut Vec<u8>, encode: &mut BytesMut, sinks: &[&ServiceStats], frame: &Frame) {
-    let n = frame.encode_with(encode, out);
-    for stats in sinks {
-        stats.add_bytes_out(n as u64);
-    }
-}
-
-/// [`send_counted`] into the process-wide counters only.
-fn send(out: &mut Vec<u8>, encode: &mut BytesMut, stats: &ServiceStats, frame: &Frame) {
-    send_counted(out, encode, &[stats], frame);
-}
-
-fn send_error(
+/// The one reply site of every request: buffers the reply frame, or the
+/// `Error` frame of a refusal, and credits it by one accounting rule —
+/// `bytes_out` (and for a refusal `errors`) count process-wide and, when
+/// the request was `routed` to a collection, against the collection's
+/// slot too, so per-collection error rates locate the misbehaving
+/// tenant. Buffering cannot fail; delivery failures surface at flush
+/// time, where the connection is closed.
+fn send_reply(
     out: &mut Vec<u8>,
     encode: &mut BytesMut,
     stats: &ServiceStats,
-    code: ErrorCode,
-    message: String,
+    routed: Option<&ServiceStats>,
+    answer: Result<Frame, Refusal>,
 ) {
-    stats.record_error();
-    send(out, encode, stats, &Frame::Error { code, message });
-}
-
-/// [`send_error`] for a failure on a frame already routed to a
-/// collection: the error (and the reply bytes) count against the
-/// collection's stats as well as the process-wide ones, so per-collection
-/// error rates actually locate the misbehaving tenant.
-fn send_error_counted(
-    out: &mut Vec<u8>,
-    encode: &mut BytesMut,
-    sinks: &[&ServiceStats],
-    code: ErrorCode,
-    message: String,
-) {
-    for stats in sinks {
-        stats.record_error();
-    }
-    send_counted(out, encode, sinks, &Frame::Error { code, message });
+    let sinks = || std::iter::once(stats).chain(routed);
+    let frame = answer.unwrap_or_else(|(code, message)| {
+        sinks().for_each(ServiceStats::record_error);
+        Frame::Error { code, message }
+    });
+    let n = frame.encode_with(encode, out) as u64;
+    sinks().for_each(|sink| sink.add_bytes_out(n));
 }

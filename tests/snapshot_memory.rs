@@ -35,9 +35,10 @@ use counting_alloc::{peak_above_start, CountingAlloc};
 static COUNTER: CountingAlloc = CountingAlloc;
 
 const N: usize = 4000;
-const DIM: usize = 8;
-/// A SIFT-sized DCE component (`2·128 + 16`): 8.7 KB of ciphertext per
-/// row, so 4000 rows make a ~35 MB snapshot.
+/// SIFT's dimension, so the rows have the shape a load accepts.
+const DIM: usize = 128;
+/// A SIFT-sized DCE component (`ciphertext_dim(128)` = `2·128 + 16`):
+/// 8.7 KB of ciphertext per row, so 4000 rows make a ~39 MB snapshot.
 const COMP_DIM: usize = 272;
 
 /// A synthetic DCE row: the codec never looks inside a ciphertext, so
