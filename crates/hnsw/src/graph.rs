@@ -62,10 +62,6 @@ pub struct Hnsw {
     /// Scratch for the mutating paths (`insert`/`delete`), `mem::take`n
     /// around each use; searches use caller scratch or the thread pool.
     scratch: SearchScratch,
-    /// Staging buffers for `shrink_if_needed` (it runs while `scratch` is
-    /// checked out by `insert`, so it keeps its own base/dist storage).
-    shrink_base: Vec<f64>,
-    shrink_dists: Vec<f64>,
     live: usize,
     /// Distance computations performed so far (the paper's cost unit for
     /// the filter phase). Each operation counts in its scratch and adds
@@ -107,8 +103,6 @@ impl Hnsw {
             entry,
             rng: StdRng::seed_from_u64(params.seed ^ slots),
             scratch: SearchScratch::default(),
-            shrink_base: Vec::new(),
-            shrink_dists: Vec::new(),
             live,
             dist_comps: AtomicU64::new(0),
         }
@@ -279,8 +273,8 @@ impl Hnsw {
         layer: usize,
         include_deleted: bool,
     ) {
-        let SearchScratch { visited, candidates, results, fresh, dists, out, dist_comps, .. } =
-            scratch;
+        let SearchScratch { visited, candidates, results, fresh, dists, dist_comps, .. } =
+            &mut *scratch;
         visited.reset(self.deleted.len());
         candidates.clear();
         results.clear();
@@ -333,14 +327,9 @@ impl Hnsw {
                 }
             }
         }
-        // Drain the bounded max-heap: pops come farthest first, so the
-        // reverse yields ascending distance without a sort (a stable sort
-        // would allocate its merge buffer on every query).
-        out.clear();
-        while let Some(FarthestFirst(nb)) = results.pop() {
-            out.push(nb);
-        }
-        out.reverse();
+        // Draining the bounded max-heap yields ascending distance without a
+        // sort (a stable sort would allocate its merge buffer on every query).
+        scratch.drain_results_into_out();
     }
 
     /// `SELECT-NEIGHBORS-HEURISTIC` (Algorithm 4): keeps candidates that are
@@ -423,7 +412,7 @@ impl Hnsw {
             for nb in &chosen {
                 self.adj.push_link(id, layer, nb.id);
                 self.adj.push_link(nb.id, layer, id);
-                self.shrink_if_needed(nb.id, layer);
+                self.shrink_if_needed(&mut scratch, nb.id, layer);
             }
         }
         self.publish(scratch.dist_comps);
@@ -438,28 +427,20 @@ impl Hnsw {
 
     /// Re-runs neighbor selection on `node`'s list at `layer` if it exceeds
     /// the degree bound (by the one link the layer-0 row's spare slot holds).
-    fn shrink_if_needed(&mut self, node: u32, layer: usize) {
+    /// Scores into the insert's checked-out `scratch`: every borrow until
+    /// the final `set_links` is shared, so the stored row is read in place.
+    fn shrink_if_needed(&mut self, scratch: &mut SearchScratch, node: u32, layer: usize) {
         let m = self.params.max_degree(layer);
-        if self.adj.links_at(node, layer).len() <= m {
+        let links = self.adj.links_at(node, layer);
+        if links.len() <= m {
             return;
         }
-        // Stage the base vector and distances in reusable buffers — this
-        // runs while `insert` has the main scratch checked out, so it owns
-        // its own staging storage.
-        let mut base = std::mem::take(&mut self.shrink_base);
-        let mut dists = std::mem::take(&mut self.shrink_dists);
-        base.clear();
-        base.extend_from_slice(self.store.get(node));
-        let links = self.adj.links_at(node, layer);
-        let mut comps = 0;
-        self.dist_many(&base, links, &mut dists, &mut comps);
+        let SearchScratch { dists, dist_comps, .. } = scratch;
+        self.dist_many(self.store.get(node), links, dists, dist_comps);
         let cands: Vec<Neighbor> =
-            links.iter().zip(&dists).map(|(&nb, &d)| Neighbor { id: nb, dist: d }).collect();
-        let chosen = self.select_neighbors(&cands, m, &mut comps);
-        self.publish(comps);
+            links.iter().zip(dists.iter()).map(|(&nb, &d)| Neighbor { id: nb, dist: d }).collect();
+        let chosen = self.select_neighbors(&cands, m, dist_comps);
         self.adj.set_links(node, layer, chosen.into_iter().map(|n| n.id));
-        self.shrink_base = base;
-        self.shrink_dists = dists;
     }
 
     /// k-ANN search (Algorithm 5): returns up to `k` live neighbors,

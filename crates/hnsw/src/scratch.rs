@@ -41,7 +41,7 @@ pub struct SearchScratch {
     pub(crate) dists: Vec<f64>,
     /// The search output, closest first — what `search_in` borrows out.
     pub(crate) out: Vec<Neighbor>,
-    /// Staging copy of a stored base vector (insert/shrink/delete paths
+    /// Staging copy of a stored base vector (insert/delete paths
     /// read a vector they are about to search for; the store cannot be
     /// borrowed across the mutation, so the bytes are staged here).
     pub(crate) base: Vec<f64>,
