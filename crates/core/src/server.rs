@@ -307,9 +307,17 @@ mod tests {
         let (data, owner, server) = setup(400, 8, 0.5, 157);
         let mut user = owner.authorize_user();
         let params = SearchParams { k_prime: 30, ef_search: 60 };
-        let queries: Vec<_> = (0..2).map(|i| user.encrypt_query(&data[i * 7], 5)).collect();
-        let alone: Vec<u64> =
-            queries.iter().map(|q| server.search(q, &params).cost.filter_dist_comps).collect();
+        // The first pair of queries whose solo counts differ, so a count
+        // smeared from one thread into the other cannot go unnoticed.
+        let solo = |q: &EncryptedQuery| server.search(q, &params).cost.filter_dist_comps;
+        let first = user.encrypt_query(&data[0], 5);
+        let second = data[1..]
+            .iter()
+            .map(|v| user.encrypt_query(v, 5))
+            .find(|q| solo(q) != solo(&first))
+            .expect("some query costs a different count");
+        let queries = [first, second];
+        let alone: Vec<u64> = queries.iter().map(solo).collect();
         assert_ne!(alone[0], alone[1], "pick queries whose counts differ");
 
         let before = server.database().hnsw().distance_computations();

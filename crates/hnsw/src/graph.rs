@@ -6,8 +6,6 @@ use crate::scratch::{ScratchPool, SearchScratch};
 use crate::store::VecStore;
 use ppann_linalg::kernels::prefetch;
 use ppann_linalg::vector::{squared_euclidean, squared_euclidean_many};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A search hit: node id plus its (squared) distance to the query.
@@ -58,7 +56,6 @@ pub struct Hnsw {
     /// Tombstones, one byte per id (ids are never reused).
     deleted: Vec<bool>,
     entry: Option<u32>,
-    rng: StdRng,
     /// Scratch for the mutating paths (`insert`/`delete`), `mem::take`n
     /// around each use; searches use caller scratch or the thread pool.
     scratch: SearchScratch,
@@ -83,9 +80,9 @@ impl Hnsw {
     }
 
     /// Assembles an index from decoded parts (the snapshot loader's
-    /// constructor). The level sampler is seeded from `seed ^ slots`, so
-    /// inserts after a restore are deterministic too (`slots` is 0 for a
-    /// new index, leaving the plain seed).
+    /// constructor). Levels are a function of `(params.seed, id)`, so the
+    /// parts are the whole state: later inserts link exactly as they would
+    /// have in the index the parts were taken from.
     pub(crate) fn from_parts(
         params: HnswParams,
         store: VecStore,
@@ -94,14 +91,12 @@ impl Hnsw {
         entry: Option<u32>,
         live: usize,
     ) -> Self {
-        let slots = deleted.len() as u64;
         Self {
             params,
             store,
             adj,
             deleted,
             entry,
-            rng: StdRng::seed_from_u64(params.seed ^ slots),
             scratch: SearchScratch::default(),
             live,
             dist_comps: AtomicU64::new(0),
@@ -219,9 +214,17 @@ impl Hnsw {
         }
     }
 
-    /// Samples a level with the exponential decay `⌊−ln(U)·mL⌋`.
-    fn sample_level(&mut self) -> usize {
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+    /// The level of node `id`: HNSW's exponential decay `⌊−ln(u)·mL⌋`, with
+    /// `u ∈ (0, 1]` drawn from a SplitMix64 mix of `(seed, id)` rather than
+    /// a stateful generator. The graph is then a pure function of the
+    /// parameters and the insert/delete history, so a restored, replayed or
+    /// replicated index links later inserts exactly as the original does.
+    fn level_of(&self, id: u32) -> usize {
+        let mut z = self.params.seed ^ u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        let u = ((z >> 11) + 1) as f64 / (1u64 << 53) as f64;
         (-u.ln() * self.params.ml()).floor() as usize
     }
 
@@ -332,18 +335,24 @@ impl Hnsw {
         scratch.drain_results_into_out();
     }
 
-    /// `SELECT-NEIGHBORS-HEURISTIC` (Algorithm 4): keeps candidates that are
-    /// closer to the base point than to any already-selected neighbor, which
-    /// preserves edge diversity and graph navigability, then back-fills the
-    /// pruned ones up to `m` (the algorithm's `keepPrunedConnections`).
-    /// Candidate distances to the base point are already folded into
-    /// `candidates`.
+    /// `SELECT-NEIGHBORS-HEURISTIC` (Algorithm 4) for a list on `layer`:
+    /// keeps candidates that are closer to the base point than to any
+    /// already-selected neighbor, which preserves edge diversity and graph
+    /// navigability. A layer-0 list is then back-filled with the pruned
+    /// ones up to `m0` (the algorithm's `keepPrunedConnections`), nearest
+    /// first except for the last slot, which takes the farthest. A full
+    /// list is re-selected on every reverse link it receives, and a plain
+    /// nearest-first back-fill drops its longest link each time: on
+    /// clustered data, the one link into another cluster. Upper-layer
+    /// lists are not back-filled, for the same reason. Candidate distances
+    /// to the base point are already folded into `candidates`.
     fn select_neighbors(
         &self,
         candidates: &[Neighbor],
-        m: usize,
+        layer: usize,
         comps: &mut u64,
     ) -> Vec<Neighbor> {
+        let m = self.params.max_degree(layer);
         let mut work: Vec<Neighbor> = candidates.to_vec();
         work.sort_by(|a, b| a.dist.partial_cmp(&b.dist).unwrap());
         let mut selected: Vec<Neighbor> = Vec::with_capacity(m);
@@ -359,22 +368,24 @@ impl Hnsw {
             });
             if diverse {
                 selected.push(cand);
-            } else {
+            } else if layer == 0 {
                 pruned.push(cand);
             }
         }
-        for p in pruned {
-            if selected.len() >= m {
-                break;
-            }
+        let mut pruned = pruned.into_iter();
+        while selected.len() + 1 < m {
+            let Some(p) = pruned.next() else { break };
             selected.push(p);
+        }
+        if selected.len() < m {
+            selected.extend(pruned.next_back());
         }
         selected
     }
 
     /// Inserts a vector, returning its id (Algorithm 1 of the HNSW paper).
     pub fn insert(&mut self, vector: &[f64]) -> u32 {
-        let level = self.sample_level();
+        let level = self.level_of(self.deleted.len() as u32);
         let id = self.add_node(vector, level);
 
         let Some(entry) = self.entry else {
@@ -400,8 +411,7 @@ impl Hnsw {
         let mut eps = vec![ep];
         for layer in (0..=level.min(top_level)).rev() {
             self.search_layer(&mut scratch, &base, &eps, self.params.ef_construction, layer, true);
-            let m = self.params.max_degree(layer);
-            let chosen = self.select_neighbors(&scratch.out, m, &mut scratch.dist_comps);
+            let chosen = self.select_neighbors(&scratch.out, layer, &mut scratch.dist_comps);
             // Entry points for the next layer come from this layer's beam;
             // extract them before the wiring below reuses the scratch.
             eps.clear();
@@ -439,7 +449,7 @@ impl Hnsw {
         self.dist_many(self.store.get(node), links, dists, dist_comps);
         let cands: Vec<Neighbor> =
             links.iter().zip(dists.iter()).map(|(&nb, &d)| Neighbor { id: nb, dist: d }).collect();
-        let chosen = self.select_neighbors(&cands, m, dist_comps);
+        let chosen = self.select_neighbors(&cands, layer, dist_comps);
         self.adj.set_links(node, layer, chosen.into_iter().map(|n| n.id));
     }
 
@@ -552,7 +562,7 @@ impl Hnsw {
                     .filter(|n| n.id != v && !self.is_deleted(n.id))
                     .collect();
                 let m = self.params.max_degree(layer);
-                let mut chosen = self.select_neighbors(&cands, m, &mut scratch.dist_comps);
+                let mut chosen = self.select_neighbors(&cands, layer, &mut scratch.dist_comps);
                 // Keep existing live links that the re-selection missed.
                 for &e in self.adj.links_at(v, layer) {
                     if chosen.len() >= m {
@@ -745,6 +755,27 @@ mod tests {
         index.reset_distance_computations();
         index.search(&pts[0], 10, 50);
         assert!(index.distance_computations() > 0);
+    }
+
+    #[test]
+    fn levels_follow_the_hnsw_law() {
+        // P(level ≥ l) = m^(−l) for ⌊−ln(u)·mL⌋ with mL = 1/ln(m). Over
+        // 100 000 ids each count must sit within 4 binomial standard
+        // deviations (plus one for rounding) of its expectation.
+        const N: u32 = 100_000;
+        let index = Hnsw::new(1, HnswParams::default());
+        let m = index.params().m as f64;
+        let levels: Vec<usize> = (0..N).map(|id| index.level_of(id)).collect();
+        for l in 1..=3 {
+            let p = m.powi(-l);
+            let want = f64::from(N) * p;
+            let tol = 4.0 * (want * (1.0 - p)).sqrt() + 1.0;
+            let got = levels.iter().filter(|&&lv| lv >= l as usize).count() as f64;
+            assert!((got - want).abs() <= tol, "level ≥ {l}: {got} ids, want {want:.1} ± {tol:.1}");
+        }
+        // The seed is an input: another seed draws other levels.
+        let other = Hnsw::new(1, HnswParams { seed: 1, ..HnswParams::default() });
+        assert!((0..1000).any(|id| other.level_of(id) != levels[id as usize]));
     }
 
     #[test]

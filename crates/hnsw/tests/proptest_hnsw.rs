@@ -132,10 +132,7 @@ proptest! {
     /// Serialization round-trips exactly, across tombstones: the restored
     /// index re-serializes to the same bytes and answers with the same ids
     /// and distance bits, and the same delete then insert on both sides
-    /// leaves them byte-identical. The level sampler restarts from
-    /// `seed ^ slots` on restore, so the inserted node's level may differ
-    /// from the original's draw; the byte check covers the inserts whose
-    /// levels agree (all but roughly one in eight).
+    /// leaves them byte-identical.
     #[test]
     fn snapshot_roundtrip(
         n in 2usize..40,
@@ -166,8 +163,54 @@ proptest! {
         let extra = &data[40 * 5..40 * 5 + d];
         let (a, b) = (index.insert(extra), restored.insert(extra));
         prop_assert_eq!(a, b);
-        if index.node_level(a) == restored.node_level(b) {
-            prop_assert_eq!(index.to_bytes(), restored.to_bytes(), "insert diverged");
+        prop_assert_eq!(index.to_bytes(), restored.to_bytes(), "insert diverged");
+    }
+
+    /// The graph is a pure function of its parameters and its history: a
+    /// random insert/delete history with a `to_bytes`/`from_bytes` round
+    /// trip at a random point ends in the same snapshot bytes, and answers
+    /// with the same ids and distance bits, as the uninterrupted history.
+    /// This is what crash recovery (snapshot + WAL replay), follower
+    /// bootstrap and compaction rely on.
+    #[test]
+    fn restore_mid_history_is_invisible(
+        m in 2usize..8,
+        seed in any::<u64>(),
+        d in 1usize..5,
+        kinds in proptest::collection::vec(0u8..4, 1..80),
+        picks in proptest::collection::vec(any::<usize>(), 80),
+        cut in any::<usize>(),
+        data in proptest::collection::vec(-1.0f64..1.0, 80 * 5),
+        queries in proptest::collection::vec(-1.0f64..1.0, 4 * 5),
+    ) {
+        let params = HnswParams { m, m0: 2 * m, ef_construction: 32, seed };
+        let pts = points(80, d, &data);
+        // Op `i` inserts point `i`, or (one time in four) deletes the live
+        // id its pick selects, keeping at least one node alive.
+        let apply = |index: &mut Hnsw, from: usize, to: usize| {
+            for i in from..to {
+                if kinds[i] == 0 && index.len() > 1 {
+                    let victim = index.live_ids().nth(picks[i] % index.len()).unwrap();
+                    index.delete(victim);
+                } else {
+                    index.insert(&pts[i]);
+                }
+            }
+        };
+        let (cut, len) = (cut % (kinds.len() + 1), kinds.len());
+        let mut straight = Hnsw::new(d, params);
+        apply(&mut straight, 0, len);
+        let mut interrupted = Hnsw::new(d, params);
+        apply(&mut interrupted, 0, cut);
+        let mut interrupted = Hnsw::from_bytes(interrupted.to_bytes()).unwrap();
+        apply(&mut interrupted, cut, len);
+
+        prop_assert_eq!(straight.to_bytes(), interrupted.to_bytes(), "snapshot bytes differ");
+        for q in queries.chunks(5) {
+            let bits = |index: &Hnsw| -> Vec<(u32, u64)> {
+                index.search(&q[..d], 5, 16).iter().map(|h| (h.id, h.dist.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&straight), bits(&interrupted));
         }
     }
 }
