@@ -365,13 +365,7 @@ impl WalRecord {
 fn put_insert_payload(body: &mut BytesMut, id: u32, c_sap: &[f64], c_dce: &DceCiphertext) {
     body.put_u32_le(id);
     crate::wire::put_f64_slice(body, c_sap);
-    let comps = c_dce.components();
-    body.put_u64_le(c_dce.component_dim() as u64);
-    for comp in comps {
-        for v in comp {
-            body.put_f64_le(*v);
-        }
-    }
+    crate::wire::put_dce_ciphertext(body, c_dce);
 }
 
 /// Wraps a record body in the `len | crc32 | body` frame.
@@ -407,22 +401,8 @@ fn decode_body(body: &[u8]) -> Option<WalRecord> {
             }
             let id = data.get_u32_le();
             let c_sap = crate::wire::get_f64_slice(&mut data).ok()?;
-            if data.remaining() < 8 {
-                return None;
-            }
-            let comp_dim = data.get_u64_le() as usize;
-            if data.remaining() < comp_dim.checked_mul(4 * 8)? {
-                return None;
-            }
-            let mut comps: [Vec<f64>; 4] = Default::default();
-            for comp in &mut comps {
-                comp.reserve(comp_dim);
-                for _ in 0..comp_dim {
-                    comp.push(data.get_f64_le());
-                }
-            }
-            let [a, b, c, d] = comps;
-            WalRecord::Insert { id, c_sap, c_dce: DceCiphertext::from_components(a, b, c, d) }
+            let c_dce = crate::wire::get_dce_ciphertext(&mut data).ok()?;
+            WalRecord::Insert { id, c_sap, c_dce }
         }
         TAG_DELETE => {
             if data.remaining() < 4 {

@@ -20,7 +20,7 @@
 use crate::query::EncryptedQuery;
 use crate::server::{SearchOutcome, SearchParams};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use ppann_dce::DceTrapdoor;
+use ppann_dce::{DceCiphertext, DceTrapdoor};
 use std::time::Duration;
 
 use crate::cost::QueryCost;
@@ -63,6 +63,37 @@ pub fn get_f64_slice(data: &mut Bytes) -> Result<Vec<f64>, WireError> {
         return Err(WireError::Truncated);
     }
     Ok((0..n).map(|_| data.get_f64_le()).collect())
+}
+
+/// Appends a DCE ciphertext row as `component_dim u64 | 4 × component_dim
+/// f64` (the four components in order) — the layout insert frames and WAL
+/// insert records share.
+pub fn put_dce_ciphertext(buf: &mut BytesMut, ct: &DceCiphertext) {
+    buf.put_u64_le(ct.component_dim() as u64);
+    for comp in ct.components() {
+        for v in comp {
+            buf.put_f64_le(*v);
+        }
+    }
+}
+
+/// Reads a row written by [`put_dce_ciphertext`], validating the claimed
+/// width against the remaining bytes before allocating.
+pub fn get_dce_ciphertext(data: &mut Bytes) -> Result<DceCiphertext, WireError> {
+    if data.remaining() < 8 {
+        return Err(WireError::Truncated);
+    }
+    let comp_dim = data.get_u64_le() as usize;
+    let need = comp_dim.checked_mul(4 * 8).ok_or(WireError::Truncated)?;
+    if data.remaining() < need {
+        return Err(WireError::Truncated);
+    }
+    let mut comps: [Vec<f64>; 4] = Default::default();
+    for comp in &mut comps {
+        comp.extend((0..comp_dim).map(|_| data.get_f64_le()));
+    }
+    let [a, b, c, d] = comps;
+    Ok(DceCiphertext::from_components(a, b, c, d))
 }
 
 impl SearchParams {

@@ -52,7 +52,9 @@
 
 use crate::stats::StatsSnapshot;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use ppann_core::wire::{get_f64_slice, put_f64_slice, WireError};
+use ppann_core::wire::{
+    get_dce_ciphertext, get_f64_slice, put_dce_ciphertext, put_f64_slice, WireError,
+};
 use ppann_core::{EncryptedQuery, SearchOutcome, SearchParams};
 use ppann_dce::DceCiphertext;
 
@@ -499,7 +501,7 @@ impl Frame {
                 put_opt_name(buf, collection);
                 buf.put_u64_le(*token);
                 put_f64_slice(buf, c_sap);
-                write_dce_ciphertext(buf, c_dce);
+                put_dce_ciphertext(buf, c_dce);
             }
             Frame::InsertAck { id } => buf.put_u32_le(*id),
             Frame::Delete { collection, token, id } => {
@@ -624,7 +626,7 @@ impl Frame {
                 let collection = get_opt_name(&mut data, namespaced)?;
                 let token = get_u64(&mut data)?;
                 let c_sap = get_f64_slice(&mut data)?;
-                let c_dce = read_dce_ciphertext(&mut data)?;
+                let c_dce = get_dce_ciphertext(&mut data)?;
                 Frame::Insert { collection, token, c_sap, c_dce }
             }
             tag::INSERT_ACK => Frame::InsertAck { id: get_u32(&mut data)? },
@@ -846,37 +848,6 @@ fn get_u32(data: &mut Bytes) -> Result<u32, WireError> {
         return Err(WireError::Truncated);
     }
     Ok(data.get_u32_le())
-}
-
-/// Appends `component_dim u64 | 4 × component_dim f64` (the four DCE
-/// ciphertext components in order).
-fn write_dce_ciphertext(buf: &mut BytesMut, ct: &DceCiphertext) {
-    buf.put_u64_le(ct.component_dim() as u64);
-    for comp in ct.components() {
-        for v in comp {
-            buf.put_f64_le(*v);
-        }
-    }
-}
-
-fn read_dce_ciphertext(data: &mut Bytes) -> Result<DceCiphertext, WireError> {
-    if data.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    let comp_dim = data.get_u64_le() as usize;
-    let need = comp_dim.checked_mul(4 * 8).ok_or(WireError::Truncated)?;
-    if data.remaining() < need {
-        return Err(WireError::Truncated);
-    }
-    let mut comps: [Vec<f64>; 4] = Default::default();
-    for comp in &mut comps {
-        comp.reserve(comp_dim);
-        for _ in 0..comp_dim {
-            comp.push(data.get_f64_le());
-        }
-    }
-    let [a, b, c, d] = comps;
-    Ok(DceCiphertext::from_components(a, b, c, d))
 }
 
 #[cfg(test)]

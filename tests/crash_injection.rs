@@ -13,8 +13,10 @@
 //! Two scenarios: compaction disabled (the log is the only moving file,
 //! so the reloaded index must be *bit-identical* to an oracle replaying
 //! the same records over the same snapshot) and compaction enabled (the
-//! snapshot rewrites underneath the kill window, so the check weakens to
-//! live-set equality plus self-nearest-neighbor searches).
+//! snapshot rewrites underneath the kill window; the live set must match
+//! the acked ops, every live insert must be its own nearest neighbor, and
+//! the reloaded collection, compacted once more, must write the same
+//! snapshot bytes as an oracle applying those ops to the original base).
 //!
 //! Iterations default to a quick smoke count; CI sets
 //! `PPANN_CRASH_ITERS=50` for the full randomized sweep. Failing runs
@@ -23,8 +25,8 @@
 
 use ppanns::core::wal::{replay, snapshot_id, DurabilityOptions, WalRecord};
 use ppanns::core::{
-    load_snapshot, save_collection_snapshot, Catalog, CloudServer, CollectionMeta, DataOwner,
-    PpAnnParams, SearchParams,
+    collection_snapshot_bytes, load_snapshot, save_collection_snapshot, Catalog, CloudServer,
+    CollectionMeta, DataOwner, PpAnnParams, SearchParams,
 };
 use ppanns::linalg::{seeded_rng, uniform_vec};
 use ppanns::service::ServiceClient;
@@ -111,6 +113,10 @@ fn spawn_server(dir: &Path, fsync: &str, compact_bytes: u64) -> (Child, String, 
     (server, addr, reader)
 }
 
+fn meta() -> CollectionMeta {
+    CollectionMeta { name: COLLECTION.into(), shards: 1 }
+}
+
 /// Seeds `dir` with a fresh BASE_N-vector collection snapshot; returns
 /// the owner and the plaintext vector pool (base + insert candidates).
 fn seed_data_dir(dir: &Path, seed: u64) -> (DataOwner, Vec<Vec<f64>>) {
@@ -123,7 +129,7 @@ fn seed_data_dir(dir: &Path, seed: u64) -> (DataOwner, Vec<Vec<f64>>) {
     let owner = DataOwner::setup(PpAnnParams::new(DIM).with_seed(seed), base);
     save_collection_snapshot(
         &dir.join(format!("{COLLECTION}.ppdb")),
-        &CollectionMeta { name: COLLECTION.into(), shards: 1 },
+        &meta(),
         &owner.outsource(base),
     )
     .unwrap();
@@ -326,22 +332,40 @@ fn sigkill_with_compaction_preserves_every_acked_mutation() {
 
         // The state must be the acked sequence, or the acked sequence
         // plus the single in-flight op.
-        let with_out = liveness_after(&log.acked);
-        let candidates: Vec<Vec<bool>> = match log.in_flight {
-            None => vec![with_out],
-            Some(op) => {
-                let mut extended = log.acked.clone();
-                extended.push(op);
-                vec![with_out, liveness_after(&extended)]
-            }
-        };
+        let mut histories = vec![log.acked.clone()];
+        if let Some(op) = log.in_flight {
+            histories.push([&log.acked[..], &[op]].concat());
+        }
+        let candidates: Vec<Vec<bool>> = histories.iter().map(|ops| liveness_after(ops)).collect();
         let got: Vec<bool> = (0..coll.slots()).map(|id| coll.is_live(id as u32)).collect();
+        let Some(matched) = candidates.iter().position(|c| *c == got) else {
+            panic!(
+                "iter {iter}: reloaded live-set matches neither acked nor acked+in-flight:\n\
+                 got      {got:?}\nacked    {:?}\nin-flight {:?}",
+                candidates[0], log.in_flight,
+            );
+        };
+
+        // The graph is a function of its parameters and its history, so
+        // the matched ops applied to the original base give the same index
+        // however many compactions and restarts lay between them: the
+        // reloaded collection, compacted now, writes the oracle's bytes.
+        let mut oracle = CloudServer::new(owner.outsource(&vectors[..BASE_N]));
+        for op in &histories[matched] {
+            match *op {
+                Op::Insert { id, vec_idx } => {
+                    let (c_sap, c_dce) =
+                        owner.encrypt_for_insert(&vectors[vec_idx], seed ^ id as u64);
+                    assert_eq!(oracle.insert(c_sap, c_dce), id);
+                }
+                Op::Delete { id } => oracle.delete(id),
+            }
+        }
+        assert!(coll.compact().unwrap());
+        let compacted = std::fs::read(dir.join(format!("{COLLECTION}.ppdb"))).unwrap();
         assert!(
-            candidates.contains(&got),
-            "iter {iter}: reloaded live-set matches neither acked nor acked+in-flight:\n\
-             got      {got:?}\nacked    {:?}\nin-flight {:?}",
-            candidates[0],
-            log.in_flight,
+            compacted == collection_snapshot_bytes(&meta(), oracle.database()),
+            "iter {iter}: compacted snapshot differs from the oracle's"
         );
 
         // Every acked-inserted, still-live vector answers as its own
