@@ -6,12 +6,13 @@
 //! query trapdoors. **The file is raw key material** — protect it like one.
 
 use crate::owner::{DataOwner, OwnerSecretKey, PpAnnParams};
-use crate::persist::PersistError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use ppann_dce::DceSecretKey;
+use crate::persist::{atomic_write, corrupt, short, PersistError};
+use ppann_dce::{DceSecretKey, KeyCodecError};
 use ppann_dcpe::{SapEncryptor, SapKey};
 use ppann_hnsw::HnswParams;
-use std::io::{Read, Write};
+use ppann_linalg::Section;
+use std::fs::File;
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -19,57 +20,70 @@ const MAGIC: &[u8; 4] = b"PPSK";
 const VERSION: u32 = 1;
 
 impl DataOwner {
-    /// Serializes the key bundle and scheme parameters.
-    pub fn to_key_bytes(&self) -> Bytes {
-        let params = self.params();
-        let key = self.secret_key();
-        let dce_bytes = key.dce.to_bytes();
-        let mut buf = BytesMut::with_capacity(64 + dce_bytes.len());
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(params.dim as u64);
-        buf.put_f64_le(params.sap_s);
-        buf.put_f64_le(params.sap_beta);
-        params.hnsw.encode(&mut buf);
-        buf.put_u64_le(params.seed);
-        buf.put_f64_le(key.norm_scale_value());
-        buf.put_u64_le(dce_bytes.len() as u64);
-        buf.put_slice(&dce_bytes);
-        buf.freeze()
+    /// Streams the key bundle and scheme parameters to `w`.
+    pub fn write_keys_to<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+        let (params, key) = (self.params(), self.secret_key());
+        let mut head = MAGIC.to_vec();
+        head.extend(VERSION.to_le_bytes());
+        head.extend((params.dim as u64).to_le_bytes());
+        head.extend(params.sap_s.to_le_bytes());
+        head.extend(params.sap_beta.to_le_bytes());
+        params.hnsw.write_to(&mut head)?;
+        head.extend(params.seed.to_le_bytes());
+        head.extend(key.norm_scale_value().to_le_bytes());
+        head.extend((key.dce.encoded_len() as u64).to_le_bytes());
+        w.write_all(&head)?;
+        key.dce.write_to(w)
+    }
+
+    /// Serializes the key bundle and scheme parameters:
+    /// [`Self::write_keys_to`] into a `Vec`.
+    pub fn to_key_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(64 + self.secret_key().dce.encoded_len());
+        self.write_keys_to(&mut buf).expect("writing to a Vec cannot fail");
+        buf
     }
 
     /// Restores a data owner from bytes written by
-    /// [`DataOwner::to_key_bytes`]. HNSW parameters that
-    /// [`HnswParams::validate`] refuses, or a header `dim` that disagrees
-    /// with the DCE key, are [`PersistError::Corrupt`] here rather than a
-    /// panic at the next `outsource`.
-    pub fn from_key_bytes(mut data: Bytes) -> Result<Self, PersistError> {
-        let corrupt = |msg: &str| PersistError::Corrupt(msg.to_string());
-        if data.remaining() < 8 || &data.copy_to_bytes(4)[..] != MAGIC {
+    /// [`DataOwner::to_key_bytes`]: [`Self::read_keys_from`] over a byte
+    /// slice.
+    pub fn from_key_bytes(data: impl AsRef<[u8]>) -> Result<Self, PersistError> {
+        let data = data.as_ref();
+        Self::read_keys_from(&mut &data[..], data.len() as u64)
+    }
+
+    /// Restores a data owner from the next `len` bytes of `r` (the length
+    /// the caller knows the key file spans), consuming exactly `len`
+    /// bytes. HNSW parameters that [`HnswParams::validate`] refuses, or a
+    /// header `dim` that disagrees with the DCE key, are
+    /// [`PersistError::Corrupt`] here rather than a panic at the next
+    /// `outsource`.
+    pub fn read_keys_from<R: Read + ?Sized>(r: &mut R, len: u64) -> Result<Self, PersistError> {
+        let mut data = Section::new(r, len);
+        let head = data.array::<8>().map_err(short("bad key magic"))?;
+        if &head[..4] != MAGIC {
             return Err(corrupt("bad key magic"));
         }
-        if data.get_u32_le() != VERSION {
+        if u32::from_le_bytes(head[4..].try_into().unwrap()) != VERSION {
             return Err(corrupt("unsupported key version"));
         }
-        if data.remaining() < 3 * 8 + HnswParams::ENCODED_LEN + 4 * 8 {
-            return Err(corrupt("truncated key header"));
-        }
-        let dim = data.get_u64_le() as usize;
-        let sap_s = data.get_f64_le();
-        let sap_beta = data.get_f64_le();
-        let hnsw = HnswParams::decode(&mut data);
+        let header = 3 * 8 + HnswParams::ENCODED_LEN as u64 + 4 * 8;
+        data.need(1, header).map_err(short("truncated key header"))?;
+        let dim = data.u64()? as usize;
+        let (sap_s, sap_beta) = (data.f64()?, data.f64()?);
+        let hnsw = HnswParams::read_from(&mut data)?;
         hnsw.validate().map_err(|e| corrupt(&format!("hnsw parameters: {e}")))?;
-        let seed = data.get_u64_le();
-        let norm_scale = data.get_f64_le();
-        let dce_len = data.get_u64_le() as usize;
-        if data.remaining() < dce_len {
-            return Err(corrupt("truncated DCE key"));
-        }
-        let dce = DceSecretKey::from_bytes(data.copy_to_bytes(dce_len))
-            .map_err(|e| corrupt(&format!("dce key: {e}")))?;
+        let (seed, norm_scale) = (data.u64()?, data.f64()?);
+        let dce_len = data.u64()?;
+        let r = data.nested(dce_len).map_err(short("truncated DCE key"))?;
+        let dce = DceSecretKey::read_from(r, dce_len).map_err(|e| match e {
+            KeyCodecError::Io(kind) => PersistError::Io(kind.into()),
+            e => corrupt(&format!("dce key: {e}")),
+        })?;
         if dce.dim() != dim {
             return Err(corrupt(&format!("header dim {dim} != DCE key dim {}", dce.dim())));
         }
+        data.skip_rest()?;
         let params = PpAnnParams { dim, sap_s, sap_beta, hnsw, seed };
         let key = OwnerSecretKey::from_parts(
             dce,
@@ -80,19 +94,17 @@ impl DataOwner {
         Ok(DataOwner::from_parts(Arc::new(key), params))
     }
 
-    /// Writes the key bundle to a file.
+    /// Writes the key bundle to a file, atomically (see [`atomic_write`]):
+    /// a failed or interrupted save leaves the previous key file intact.
     pub fn save_keys(&self, path: &Path) -> Result<(), PersistError> {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        f.write_all(&self.to_key_bytes())?;
-        f.flush()?;
-        Ok(())
+        atomic_write(path, |w| self.write_keys_to(w)).map(drop)
     }
 
-    /// Loads a key bundle from a file.
+    /// Loads a key bundle from a file, streaming it through one buffer.
     pub fn load_keys(path: &Path) -> Result<Self, PersistError> {
-        let mut buf = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut buf)?;
-        Self::from_key_bytes(Bytes::from(buf))
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        Self::read_keys_from(&mut BufReader::new(file), len)
     }
 }
 
@@ -100,6 +112,7 @@ impl DataOwner {
 mod tests {
     use super::*;
     use crate::server::{CloudServer, SearchParams};
+    use bytes::Bytes;
     use ppann_linalg::{seeded_rng, uniform_vec};
 
     #[test]
@@ -203,5 +216,65 @@ mod tests {
     #[test]
     fn garbage_key_rejected() {
         assert!(DataOwner::from_key_bytes(Bytes::from_static(b"garbage")).is_err());
+    }
+
+    #[test]
+    fn every_strict_prefix_is_rejected() {
+        let bytes = small_owner_bytes();
+        for cut in 0..bytes.len() {
+            assert!(DataOwner::from_key_bytes(&bytes[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+    }
+
+    /// A 96-byte DCE key whose first matrix claims `rows·cols` f64s that
+    /// overflow, inside an otherwise valid PPSK header, is corrupt rather
+    /// than a panic or an allocation.
+    #[test]
+    fn an_overflowing_dce_matrix_is_corrupt() {
+        // The PPSK header ends with the DCE key's length word at 82..90.
+        let header = &small_owner_bytes()[..82];
+        for (rows, cols) in [(1u64 << 61, 1u64), (1 << 32, 1 << 32)] {
+            let mut blob = b"DCEK".to_vec();
+            blob.extend(1u32.to_le_bytes());
+            blob.extend(3u64.to_le_bytes());
+            blob.extend(rows.to_le_bytes());
+            blob.extend(cols.to_le_bytes());
+            blob.resize(96, 0);
+            let mut bytes = header.to_vec();
+            bytes.extend((blob.len() as u64).to_le_bytes());
+            bytes.extend(blob);
+            match DataOwner::from_key_bytes(bytes) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains("dce key"), "{msg}"),
+                other => panic!("expected Corrupt, got {:?}", other.map(|_| "an owner")),
+            }
+        }
+    }
+
+    /// Modelled on `persist::tests::failed_snapshot_rewrite_preserves_previous_good_snapshot`:
+    /// a key save that fails (its temp path blocked by a directory) leaves
+    /// the previous key file byte-identical and loadable.
+    #[test]
+    fn failed_key_save_preserves_the_previous_key_file() {
+        let dir = std::env::temp_dir().join(format!("ppanns_atomic_keys_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("owner.keys");
+        let data = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
+        let old = DataOwner::setup(PpAnnParams::new(2).with_seed(6), &data);
+        old.save_keys(&path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+
+        let tmp = crate::wal::tmp_sibling(&path);
+        std::fs::create_dir(&tmp).unwrap();
+        let new = DataOwner::setup(PpAnnParams::new(2).with_seed(7), &data);
+        assert_ne!(new.to_key_bytes(), good);
+        assert!(new.save_keys(&path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), good, "old key file was damaged");
+        assert_eq!(DataOwner::load_keys(&path).unwrap().to_key_bytes(), good);
+
+        std::fs::remove_dir(&tmp).unwrap();
+        new.save_keys(&path).unwrap();
+        assert!(!tmp.exists(), "temp file must not outlive the rename");
+        assert_eq!(DataOwner::load_keys(&path).unwrap().to_key_bytes(), new.to_key_bytes());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,7 @@
 //! Binary persistence of the encrypted database (server snapshots).
 //!
 //! Two container versions, both little endian and hand-rolled over
-//! `bytes` (see DESIGN.md §5 for why no serialization crate is used):
+//! `std::io` (see DESIGN.md §5 for why no serialization crate is used):
 //!
 //! **v1** — one anonymous single-index database, what
 //! [`EncryptedDatabase::to_bytes`] writes and `ppanns-cli outsource`
@@ -34,7 +34,8 @@
 //! There is one codec per container and it streams: the writers take any
 //! `Write` and write each length prefix from an exact `encoded_len`, the
 //! readers take any `Read` plus the length the caller knows the input has
-//! and check every length a header claims against it before allocating.
+//! and check every length a header claims against it before allocating
+//! (`ppann_linalg::Section`, the reader every format shares).
 //! Files are written through [`atomic_write`] and read by [`open_snapshot`]
 //! through one fixed buffer, with the [`SnapshotId`] seal computed in the
 //! same pass, so neither holds an image of the file in memory; the
@@ -42,11 +43,9 @@
 
 use crate::index::EncryptedDatabase;
 use crate::wal::{sync_dir, tmp_sibling, SealHasher, SnapshotId};
-use bytes::BufMut;
-#[cfg(test)]
-use bytes::{Bytes, BytesMut};
 use ppann_dce::DceCiphertext;
-use ppann_hnsw::{read_f64s, write_f64s, Hnsw, SnapshotError};
+use ppann_hnsw::{Hnsw, SnapshotError};
+use ppann_linalg::{write_f64s, Section, SectionError};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -88,59 +87,40 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-fn corrupt(msg: &str) -> PersistError {
+pub(crate) fn corrupt(msg: &str) -> PersistError {
     PersistError::Corrupt(msg.to_string())
 }
 
-/// The unread part of one container of known length: a field the
-/// container cannot hold fails as [`PersistError::Corrupt`] with the
-/// caller's message before it reaches the reader.
-struct Section<'r, R: ?Sized> {
-    r: &'r mut R,
-    left: u64,
+/// For reads a caller has already bounded, which fail only on I/O.
+impl From<SectionError> for PersistError {
+    fn from(e: SectionError) -> Self {
+        match e {
+            SectionError::Short => corrupt("truncated"),
+            SectionError::Io(e) => PersistError::Io(e),
+        }
+    }
 }
 
-impl<R: Read + ?Sized> Section<'_, R> {
-    fn fill(&mut self, buf: &mut [u8], short: &str) -> Result<(), PersistError> {
-        if self.left < buf.len() as u64 {
-            return Err(corrupt(short));
-        }
-        self.r.read_exact(buf)?;
-        self.left -= buf.len() as u64;
-        Ok(())
+/// Maps a [`Section`] failure to the persistence error a caller sees: a
+/// field the container cannot hold is [`PersistError::Corrupt`] with the
+/// message `msg`.
+pub(crate) fn short(msg: &str) -> impl Fn(SectionError) -> PersistError + '_ {
+    move |e| match e {
+        SectionError::Short => corrupt(msg),
+        e => e.into(),
     }
+}
 
-    fn u16(&mut self, short: &str) -> Result<u16, PersistError> {
-        let mut b = [0u8; 2];
-        self.fill(&mut b, short)?;
-        Ok(u16::from_le_bytes(b))
+/// Magic and version; `too_short` names a header too short to hold them.
+fn read_header<R: Read + ?Sized>(
+    data: &mut Section<'_, R>,
+    too_short: &str,
+) -> Result<u32, PersistError> {
+    let head = data.array::<8>().map_err(short(too_short))?;
+    if &head[..4] != MAGIC {
+        return Err(corrupt("bad magic"));
     }
-
-    fn u64(&mut self, short: &str) -> Result<u64, PersistError> {
-        let mut b = [0u8; 8];
-        self.fill(&mut b, short)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Magic and version; `short` names a header too short to hold them.
-    fn header(&mut self, short: &str) -> Result<u32, PersistError> {
-        let mut head = [0u8; 8];
-        self.fill(&mut head, short)?;
-        if &head[..4] != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        Ok(u32::from_le_bytes(head[4..].try_into().unwrap()))
-    }
-
-    /// Consumes what the container holds past its last field.
-    fn skip_rest(&mut self) -> Result<(), PersistError> {
-        let rest = self.left;
-        if io::copy(&mut (&mut *self.r).take(rest), &mut io::sink())? != rest {
-            return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
-        }
-        self.left = 0;
-        Ok(())
-    }
+    Ok(u32::from_le_bytes(head[4..].try_into().unwrap()))
 }
 
 impl EncryptedDatabase {
@@ -153,15 +133,14 @@ impl EncryptedDatabase {
     /// Streams the full encrypted database to `w` as a v1 image.
     pub fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
         let dce = self.dce_ciphertexts();
-        let mut head = Vec::with_capacity(16);
-        head.put_slice(MAGIC);
-        head.put_u32_le(VERSION);
-        head.put_u64_le(self.hnsw().encoded_len() as u64);
+        let mut head = MAGIC.to_vec();
+        head.extend(VERSION.to_le_bytes());
+        head.extend((self.hnsw().encoded_len() as u64).to_le_bytes());
         w.write_all(&head)?;
         self.hnsw().write_to(w)?;
         head.clear();
-        head.put_u64_le(dce.len() as u64);
-        head.put_u64_le(dce.first().map_or(0, |c| c.component_dim()) as u64);
+        head.extend((dce.len() as u64).to_le_bytes());
+        head.extend((dce.first().map_or(0, |c| c.component_dim()) as u64).to_le_bytes());
         w.write_all(&head)?;
         for ct in dce {
             for comp in ct.components() {
@@ -189,8 +168,8 @@ impl EncryptedDatabase {
     /// Restores a v1 image from the next `len` bytes of `r` (the length
     /// the caller knows the image spans), consuming exactly `len` bytes.
     pub fn read_from<R: Read + ?Sized>(r: &mut R, len: u64) -> Result<Self, PersistError> {
-        let mut section = Section { r, left: len };
-        if section.header("bad magic")? != VERSION {
+        let mut section = Section::new(r, len);
+        if read_header(&mut section, "bad magic")? != VERSION {
             return Err(corrupt("unsupported version"));
         }
         let db = Self::read_v1_body(&mut section)?;
@@ -200,25 +179,20 @@ impl EncryptedDatabase {
 
     /// Everything of a v1 image after its magic and version.
     fn read_v1_body<R: Read + ?Sized>(data: &mut Section<'_, R>) -> Result<Self, PersistError> {
-        let hnsw_len = data.u64("truncated header")?;
-        if data.left < hnsw_len {
-            return Err(corrupt("truncated index"));
-        }
+        let hnsw_len = data.u64().map_err(short("truncated header"))?;
+        let r = data.nested(hnsw_len).map_err(short("truncated index"))?;
         let hnsw_len = usize::try_from(hnsw_len).map_err(|_| corrupt("truncated index"))?;
-        let hnsw = Hnsw::read_from(data.r, hnsw_len).map_err(|e| match e {
+        let hnsw = Hnsw::read_from(r, hnsw_len).map_err(|e| match e {
             SnapshotError::Io(kind) => PersistError::Io(kind.into()),
             e => corrupt(&format!("hnsw: {e}")),
         })?;
-        data.left -= hnsw_len as u64;
-        let n = data.u64("truncated ciphertext header")?;
-        let comp_dim = data.u64("truncated ciphertext header")?;
-        let bytes = n
+        let n = data.u64().map_err(short("truncated ciphertext header"))?;
+        let comp_dim = data.u64().map_err(short("truncated ciphertext header"))?;
+        let floats = n
             .checked_mul(comp_dim)
-            .and_then(|f| f.checked_mul(4 * 8))
+            .filter(|f| f.checked_mul(4 * 8).is_some())
             .ok_or_else(|| corrupt("ciphertext count × dimension overflows"))?;
-        if data.left < bytes {
-            return Err(corrupt("truncated ciphertexts"));
-        }
+        data.need(floats, 4 * 8).map_err(short("truncated ciphertexts"))?;
         if hnsw.capacity_slots() as u64 != n {
             return Err(corrupt("index/ciphertext misalignment"));
         }
@@ -228,17 +202,15 @@ impl EncryptedDatabase {
         if n > 0 && comp_dim != ppann_dce::ciphertext_dim(hnsw.dim()) as u64 {
             return Err(corrupt("DCE ciphertext width does not match the index dimension"));
         }
-        let comp_dim = usize::try_from(comp_dim).map_err(|_| corrupt("truncated ciphertexts"))?;
         let mut dce = Vec::with_capacity(hnsw.capacity_slots());
         for _ in 0..n {
             let mut comps: [Vec<f64>; 4] = Default::default();
             for comp in &mut comps {
-                read_f64s(data.r, comp_dim, comp)?;
+                *comp = data.f64s(comp_dim).map_err(short("truncated ciphertexts"))?;
             }
             let [a, b, c, d] = comps;
             dce.push(DceCiphertext::from_components(a, b, c, d));
         }
-        data.left -= bytes;
         Ok(EncryptedDatabase::new(hnsw, dce))
     }
 
@@ -280,12 +252,12 @@ pub fn write_collection_to<W: Write + ?Sized>(
     let name = meta.name.as_bytes();
     assert!(name.len() <= u16::MAX as usize, "collection name too long to snapshot");
     let mut head = Vec::with_capacity(8 + 2 + name.len() + 2 + 8);
-    head.put_slice(MAGIC);
-    head.put_u32_le(VERSION_COLLECTION);
-    head.put_u16_le(name.len() as u16);
-    head.put_slice(name);
-    head.put_u16_le(meta.shards);
-    head.put_u64_le(db.encoded_len() as u64);
+    head.extend_from_slice(MAGIC);
+    head.extend(VERSION_COLLECTION.to_le_bytes());
+    head.extend((name.len() as u16).to_le_bytes());
+    head.extend_from_slice(name);
+    head.extend(meta.shards.to_le_bytes());
+    head.extend((db.encoded_len() as u64).to_le_bytes());
     w.write_all(&head)?;
     db.write_to(w)
 }
@@ -375,23 +347,23 @@ pub fn read_snapshot<R: Read + ?Sized>(
     r: &mut R,
     len: u64,
 ) -> Result<(Option<CollectionMeta>, EncryptedDatabase), PersistError> {
-    let mut data = Section { r, left: len };
-    let loaded = match data.header("truncated header")? {
+    let mut data = Section::new(r, len);
+    let loaded = match read_header(&mut data, "truncated header")? {
         VERSION => (None, EncryptedDatabase::read_v1_body(&mut data)?),
         VERSION_COLLECTION => {
-            let name_len = data.u16("truncated collection name length")?;
-            let mut name = vec![0u8; name_len as usize];
-            data.fill(&mut name, "truncated collection name")?;
+            let name_len = data.array().map_err(short("truncated collection name length"))?;
+            let mut name = vec![0u8; u16::from_le_bytes(name_len) as usize];
+            data.fill(&mut name).map_err(short("truncated collection name"))?;
             let name =
                 String::from_utf8(name).map_err(|_| corrupt("collection name is not UTF-8"))?;
-            let shards = data.u16("truncated collection header")?;
-            let inner_len = data.u64("truncated collection header")?;
-            if data.left != inner_len {
+            let shards =
+                u16::from_le_bytes(data.array().map_err(short("truncated collection header"))?);
+            let inner_len = data.u64().map_err(short("truncated collection header"))?;
+            if data.left() != inner_len {
                 return Err(corrupt("collection payload length mismatch"));
             }
-            let db = EncryptedDatabase::read_from(data.r, inner_len)?;
-            data.left = 0;
-            (Some(CollectionMeta { name, shards }), db)
+            let r = data.nested(inner_len)?;
+            (Some(CollectionMeta { name, shards }), EncryptedDatabase::read_from(r, inner_len)?)
         }
         _ => return Err(corrupt("unsupported version")),
     };
@@ -447,6 +419,7 @@ mod tests {
     use super::*;
     use crate::owner::{DataOwner, PpAnnParams};
     use crate::server::{CloudServer, SearchParams};
+    use bytes::{BufMut, Bytes, BytesMut};
     use ppann_linalg::{seeded_rng, uniform_vec};
 
     #[test]

@@ -44,5 +44,5 @@ pub use bruteforce::{exact_knn, exact_knn_ids, exact_knn_in};
 pub use graph::{Hnsw, Neighbor};
 pub use params::HnswParams;
 pub use scratch::{ScratchPool, SearchScratch};
-pub use serial::{read_f64s, write_f64s, SnapshotError};
+pub use serial::SnapshotError;
 pub use store::VecStore;

@@ -1,6 +1,7 @@
 //! HNSW construction and search parameters.
 
-use bytes::{Buf, BufMut};
+use ppann_linalg::{Section, SectionError};
+use std::io::{self, Read, Write};
 
 /// Largest layer-0 degree [`HnswParams::validate`] accepts: three times
 /// the paper's `m0 = 80`. Every node owns an `(m0 + 2)`-word layer-0 row
@@ -51,32 +52,29 @@ impl HnswParams {
         1.0 / (self.m as f64).ln()
     }
 
-    /// Length of the block [`Self::encode`] writes.
+    /// Length of the block [`Self::write_to`] writes.
     pub const ENCODED_LEN: usize = 3 * 8 + 2 + 8;
 
-    /// Appends the parameter block that the HNSW snapshot and the owner's
+    /// Writes the parameter block that the HNSW snapshot and the owner's
     /// key file share: `m`, `m0` and `ef_construction` as little-endian
     /// u64s, two retired option bytes (once `extend_candidates` and
     /// `keep_pruned`), then the seed. The retired bytes are written as 0
     /// and 1, the values every earlier writer used by default, so files
     /// stay byte-identical.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u64_le(self.m as u64);
-        buf.put_u64_le(self.m0 as u64);
-        buf.put_u64_le(self.ef_construction as u64);
-        buf.put_slice(&[0, 1]);
-        buf.put_u64_le(self.seed);
+    pub fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+        for v in [self.m, self.m0, self.ef_construction] {
+            w.write_all(&(v as u64).to_le_bytes())?;
+        }
+        w.write_all(&[0, 1])?;
+        w.write_all(&self.seed.to_le_bytes())
     }
 
-    /// Reads a block written by [`Self::encode`], skipping the retired
-    /// bytes whatever they hold. The caller checks that
-    /// [`Self::ENCODED_LEN`] bytes remain and validates the result.
-    pub fn decode(data: &mut impl Buf) -> Self {
-        let m = data.get_u64_le() as usize;
-        let m0 = data.get_u64_le() as usize;
-        let ef_construction = data.get_u64_le() as usize;
-        data.advance(2);
-        Self { m, m0, ef_construction, seed: data.get_u64_le() }
+    /// Reads a block written by [`Self::write_to`], skipping the retired
+    /// bytes whatever they hold. The caller validates the result.
+    pub fn read_from<R: Read + ?Sized>(data: &mut Section<'_, R>) -> Result<Self, SectionError> {
+        let [m, m0, ef_construction] = [data.u64()?, data.u64()?, data.u64()?].map(|v| v as usize);
+        data.array::<2>()?;
+        Ok(Self { m, m0, ef_construction, seed: data.u64()? })
     }
 
     /// Validates invariants (`2 ≤ m ≤ m0 ≤ 256`, beam ≥ 1).

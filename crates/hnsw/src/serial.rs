@@ -2,7 +2,7 @@
 //!
 //! The cloud server persists the privacy-preserving index between sessions;
 //! since no serialization-format crate is on the approved dependency list the
-//! format is a hand-rolled little-endian layout over `bytes`:
+//! format is a hand-rolled little-endian layout:
 //!
 //! ```text
 //! magic "HNSW" | version u32 | dim u64 | params | entry (u64::MAX = none)
@@ -19,13 +19,14 @@
 //! chunks, so the reader treats every field as hostile: a snapshot that
 //! does not describe a well-formed graph is an error, never a panic, an
 //! abort or a wrapped size, and every length it claims is checked against
-//! the bytes left in its section before anything is allocated for it.
+//! the bytes left in its section (`ppann_linalg::Section`) before anything
+//! is allocated for it.
 
 use crate::adjacency::Adjacency;
 use crate::graph::Hnsw;
 use crate::params::{HnswParams, MAX_DEGREE};
 use crate::store::VecStore;
-use bytes::{BufMut, Bytes};
+use ppann_linalg::{write_f64s, Section, SectionError};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"HNSW";
@@ -45,9 +46,6 @@ const ARENA_PER_INPUT_BYTE: usize = 16;
 /// Arena bytes any snapshot may claim, so small indexes load whatever
 /// their parameters.
 const ARENA_SLACK: usize = 1 << 20;
-/// Bytes of the one buffer [`read_f64s`] and [`write_f64s`] convert
-/// through.
-const F64_BUF_BYTES: usize = 4096;
 
 /// Serialization failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,83 +72,14 @@ impl std::fmt::Display for SnapshotError {
 }
 impl std::error::Error for SnapshotError {}
 
-impl From<io::Error> for SnapshotError {
-    fn from(e: io::Error) -> Self {
-        match e.kind() {
-            io::ErrorKind::UnexpectedEof => SnapshotError::Truncated,
-            kind => SnapshotError::Io(kind),
+impl From<SectionError> for SnapshotError {
+    fn from(e: SectionError) -> Self {
+        match e {
+            SectionError::Io(e) if e.kind() != io::ErrorKind::UnexpectedEof => {
+                SnapshotError::Io(e.kind())
+            }
+            _ => SnapshotError::Truncated,
         }
-    }
-}
-
-/// Writes `values` as little-endian f64s through one fixed buffer: the
-/// store and ciphertext sections of every snapshot.
-pub fn write_f64s<W: Write + ?Sized>(w: &mut W, values: &[f64]) -> io::Result<()> {
-    let mut buf = [0u8; F64_BUF_BYTES];
-    for chunk in values.chunks(F64_BUF_BYTES / 8) {
-        for (dst, v) in buf.chunks_exact_mut(8).zip(chunk) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
-        w.write_all(&buf[..chunk.len() * 8])?;
-    }
-    Ok(())
-}
-
-/// Appends `n` little-endian f64s read from `r` to `out`, converting
-/// through one fixed buffer rather than one `read` per value. The caller
-/// bounds `n` by the bytes it knows remain.
-pub fn read_f64s<R: Read + ?Sized>(r: &mut R, n: usize, out: &mut Vec<f64>) -> io::Result<()> {
-    let mut buf = [0u8; F64_BUF_BYTES];
-    out.reserve_exact(n);
-    let mut left = n;
-    while left > 0 {
-        let take = left.min(F64_BUF_BYTES / 8);
-        let bytes = &mut buf[..take * 8];
-        r.read_exact(bytes)?;
-        out.extend(bytes.chunks_exact(8).map(|b| f64::from_le_bytes(b.try_into().unwrap())));
-        left -= take;
-    }
-    Ok(())
-}
-
-/// The unread part of one snapshot section of known length: a read the
-/// section cannot cover fails as [`SnapshotError::Truncated`] before it
-/// reaches the reader.
-struct Section<'r, R: ?Sized> {
-    r: &'r mut R,
-    left: usize,
-}
-
-impl<R: Read + ?Sized> Section<'_, R> {
-    fn need(&self, n: usize) -> Result<(), SnapshotError> {
-        if self.left < n {
-            Err(SnapshotError::Truncated)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn fill(&mut self, buf: &mut [u8]) -> Result<(), SnapshotError> {
-        self.need(buf.len())?;
-        self.r.read_exact(buf)?;
-        self.left -= buf.len();
-        Ok(())
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let mut b = [0u8; 4];
-        self.fill(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// `n` f64s, into a vector allocated once the section is known to
-    /// hold them.
-    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, SnapshotError> {
-        self.need(n * 8)?;
-        let mut out = Vec::with_capacity(n);
-        read_f64s(self.r, n, &mut out)?;
-        self.left -= n * 8;
-        Ok(out)
     }
 }
 
@@ -170,25 +99,26 @@ impl Hnsw {
     pub fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
         let (params, store, n) = (self.params(), self.store(), self.capacity_slots());
         let mut record = Vec::with_capacity(HEADER_LEN);
-        record.put_slice(MAGIC);
-        record.put_u32_le(VERSION);
-        record.put_u64_le(store.dim() as u64);
-        params.encode(&mut record);
-        record.put_u64_le(self.entry_point().map_or(u64::MAX, |e| e as u64));
-        record.put_u64_le(self.len() as u64);
-        record.put_u64_le(n as u64);
+        record.extend_from_slice(MAGIC);
+        record.extend(VERSION.to_le_bytes());
+        record.extend((store.dim() as u64).to_le_bytes());
+        params.write_to(&mut record)?;
+        let entry = self.entry_point().map_or(u64::MAX, |e| e as u64);
+        for v in [entry, self.len() as u64, n as u64] {
+            record.extend(v.to_le_bytes());
+        }
         w.write_all(&record)?;
         write_f64s(w, store.raw())?;
         for id in 0..n as u32 {
             let level = self.node_level(id);
             record.clear();
-            record.put_u8(self.is_deleted(id) as u8);
-            record.put_u32_le(level as u32 + 1);
+            record.push(self.is_deleted(id) as u8);
+            record.extend((level as u32 + 1).to_le_bytes());
             for layer in 0..=level {
                 let links = self.links(id, layer);
-                record.put_u32_le(links.len() as u32);
+                record.extend((links.len() as u32).to_le_bytes());
                 for &nb in links {
-                    record.put_u32_le(nb);
+                    record.extend(nb.to_le_bytes());
                 }
             }
             w.write_all(&record)?;
@@ -227,12 +157,9 @@ impl Hnsw {
         r: &mut R,
         section_len: usize,
     ) -> Result<Self, SnapshotError> {
-        let mut section = Section { r, left: section_len };
+        let mut section = Section::new(r, section_len as u64);
         let index = Self::read_section(&mut section, section_len)?;
-        let rest = section.left as u64;
-        if io::copy(&mut section.r.take(rest), &mut io::sink())? != rest {
-            return Err(SnapshotError::Truncated);
-        }
+        section.skip_rest()?;
         Ok(index)
     }
 
@@ -241,22 +168,16 @@ impl Hnsw {
         input_len: usize,
     ) -> Result<Self, SnapshotError> {
         use SnapshotError::Corrupt;
-        let mut magic = [0u8; 8];
-        match data.fill(&mut magic) {
-            Err(SnapshotError::Truncated) => return Err(SnapshotError::BadHeader),
-            Err(e) => return Err(e),
-            Ok(()) if &magic[..4] != MAGIC => return Err(SnapshotError::BadHeader),
-            Ok(()) => {}
-        }
-        if u32::from_le_bytes(magic[4..].try_into().unwrap()) != VERSION {
+        let magic = match data.array::<8>() {
+            Err(SectionError::Short) => return Err(SnapshotError::BadHeader),
+            magic => magic?,
+        };
+        if &magic[..4] != MAGIC || u32::from_le_bytes(magic[4..].try_into().unwrap()) != VERSION {
             return Err(SnapshotError::BadHeader);
         }
-        let mut header = [0u8; HEADER_LEN - 8];
-        data.fill(&mut header)?;
-        let mut header = Bytes::copy_from_slice(&header);
-        let dim = bytes::Buf::get_u64_le(&mut header) as usize;
-        let params = HnswParams::decode(&mut header);
-        let [entry_raw, live, n_nodes] = [(); 3].map(|()| bytes::Buf::get_u64_le(&mut header));
+        let dim = data.u64()? as usize;
+        let params = HnswParams::read_from(data)?;
+        let [entry_raw, live, n_nodes] = [data.u64()?, data.u64()?, data.u64()?];
         let (live, n_nodes) = (live as usize, n_nodes as usize);
         if dim == 0 {
             return Err(Corrupt("zero dimension"));
@@ -266,13 +187,13 @@ impl Hnsw {
             .checked_mul(dim)
             .filter(|f| f.checked_mul(8).is_some() && n_nodes <= u32::MAX as usize)
             .ok_or(Corrupt("node count × dimension overflows"))?;
-        let raw = data.f64s(floats)?;
+        let raw = data.f64s(floats as u64)?;
         if raw.iter().any(|x| !x.is_finite()) {
             return Err(Corrupt("non-finite coordinate"));
         }
         let store = VecStore::from_raw(dim, raw);
 
-        data.need(n_nodes * MIN_NODE_BYTES)?;
+        data.need(n_nodes as u64, MIN_NODE_BYTES as u64)?;
         let arena_bytes = n_nodes * (params.m0 + 2) * 4;
         if arena_bytes > ARENA_PER_INPUT_BYTE.saturating_mul(input_len) + ARENA_SLACK {
             return Err(Corrupt("layer-0 arena out of proportion to the snapshot"));
@@ -282,17 +203,16 @@ impl Hnsw {
         let mut deleted = Vec::with_capacity(n_nodes);
         let mut list = [0u8; 4 * MAX_DEGREE];
         for id in 0..n_nodes as u32 {
-            let mut head = [0u8; 5];
-            data.fill(&mut head)?;
+            let head = data.array::<5>()?;
             deleted.push(head[0] != 0);
             let n_layers = u32::from_le_bytes(head[1..].try_into().unwrap()) as usize;
             if n_layers == 0 {
                 return Err(Corrupt("node without a layer 0"));
             }
-            data.need(n_layers * 4)?;
+            data.need(n_layers as u64, 4)?;
             adj.add_node(n_layers - 1);
             for layer in 0..n_layers {
-                let len = data.u32()? as usize;
+                let len = u32::from_le_bytes(data.array()?) as usize;
                 if len > params.max_degree(layer) {
                     return Err(Corrupt("neighbour list longer than its degree bound"));
                 }
@@ -328,6 +248,7 @@ impl Hnsw {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use ppann_linalg::{seeded_rng, uniform_vec};
 
     #[test]

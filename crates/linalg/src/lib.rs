@@ -9,6 +9,7 @@
 //! dependencies beyond `rand`, plus a scoped-thread parallel map used by the
 //! one-off bulk jobs (database encryption, ground-truth computation) that
 //! must never be confused with the single-threaded search-path timings.
+//! [`Section`] is the length-checked reader every on-disk format uses.
 //!
 //! ## Example
 //!
@@ -21,6 +22,7 @@
 //! assert!(prod.max_abs_diff(&Matrix::identity(8)) < 1e-8);
 //! ```
 
+mod codec;
 pub mod kernels;
 mod lu;
 mod matrix;
@@ -30,6 +32,7 @@ mod random;
 mod topk;
 pub mod vector;
 
+pub use codec::{write_f64s, Section, SectionError};
 pub use lu::{LinalgError, LuDecomposition};
 pub use matrix::Matrix;
 pub use parallel::{available_threads, parallel_map_indexed};

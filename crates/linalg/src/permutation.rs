@@ -34,14 +34,20 @@ impl Permutation {
     /// # Panics
     /// Panics if `map` is not a permutation of `0..map.len()`.
     pub fn from_map(map: Vec<u32>) -> Self {
-        let n = map.len();
-        let mut seen = vec![false; n];
+        Self::try_from_map(map).expect("from_map: not a permutation")
+    }
+
+    /// [`Self::from_map`] for maps read from outside the process: `None`
+    /// unless `map` is a permutation of `0..map.len()`.
+    pub fn try_from_map(map: Vec<u32>) -> Option<Self> {
+        let mut seen = vec![false; map.len()];
         for &m in &map {
-            let m = m as usize;
-            assert!(m < n && !seen[m], "from_map: not a permutation");
-            seen[m] = true;
+            let slot = seen.get_mut(m as usize)?;
+            if std::mem::replace(slot, true) {
+                return None;
+            }
         }
-        Self { map }
+        Some(Self { map })
     }
 
     /// Domain size.

@@ -1,7 +1,5 @@
 //! The replicated block database both PIR servers hold.
 
-use bytes::Bytes;
-
 /// A database of `n` fixed-size blocks, replicated verbatim on both servers.
 #[derive(Clone, Debug)]
 pub struct PirDatabase {
@@ -64,11 +62,6 @@ impl PirDatabase {
             }
         }
         (acc, touched)
-    }
-
-    /// Immutable snapshot of the raw storage (for shipping to a server).
-    pub fn snapshot(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.blocks)
     }
 }
 
