@@ -6,7 +6,7 @@
 //! query trapdoors. **The file is raw key material** — protect it like one.
 
 use crate::owner::{DataOwner, OwnerSecretKey, PpAnnParams};
-use crate::persist::{atomic_write, corrupt, short, PersistError};
+use crate::persist::{atomic_write_mode, corrupt, short, PersistError};
 use ppann_dce::{DceSecretKey, KeyCodecError};
 use ppann_dcpe::{SapEncryptor, SapKey};
 use ppann_hnsw::HnswParams;
@@ -94,10 +94,13 @@ impl DataOwner {
         Ok(DataOwner::from_parts(Arc::new(key), params))
     }
 
-    /// Writes the key bundle to a file, atomically (see [`atomic_write`]):
-    /// a failed or interrupted save leaves the previous key file intact.
+    /// Writes the key bundle to a file, atomically (see
+    /// [`crate::persist::atomic_write`]): a failed or interrupted save
+    /// leaves the previous key file intact. A new key file is readable by
+    /// its owner only (0600); a rewrite keeps the mode of the file it
+    /// replaces.
     pub fn save_keys(&self, path: &Path) -> Result<(), PersistError> {
-        atomic_write(path, |w| self.write_keys_to(w)).map(drop)
+        atomic_write_mode(path, 0o600, |w| self.write_keys_to(w)).map(drop)
     }
 
     /// Loads a key bundle from a file, streaming it through one buffer.
@@ -227,12 +230,15 @@ mod tests {
     }
 
     /// A 96-byte DCE key whose first matrix claims `rows·cols` f64s that
-    /// overflow, inside an otherwise valid PPSK header, is corrupt rather
-    /// than a panic or an allocation.
+    /// overflow, and a 208-byte one claiming dim = u64::MAX with empty
+    /// runs (under a PPSK header claiming the same dim), inside an
+    /// otherwise valid PPSK header, are corrupt rather than a panic, an
+    /// allocation or an owner of a wrapped dimension.
     #[test]
     fn an_overflowing_dce_matrix_is_corrupt() {
         // The PPSK header ends with the DCE key's length word at 82..90.
-        let header = &small_owner_bytes()[..82];
+        let mut header = small_owner_bytes()[..82].to_vec();
+        let mut blobs = Vec::new();
         for (rows, cols) in [(1u64 << 61, 1u64), (1 << 32, 1 << 32)] {
             let mut blob = b"DCEK".to_vec();
             blob.extend(1u32.to_le_bytes());
@@ -240,7 +246,16 @@ mod tests {
             blob.extend(rows.to_le_bytes());
             blob.extend(cols.to_le_bytes());
             blob.resize(96, 0);
-            let mut bytes = header.to_vec();
+            blobs.push((3u64, blob));
+        }
+        let mut huge_dim = b"DCEK".to_vec();
+        huge_dim.extend(1u32.to_le_bytes());
+        huge_dim.extend(u64::MAX.to_le_bytes());
+        huge_dim.resize(208, 0);
+        blobs.push((u64::MAX, huge_dim));
+        for (dim, blob) in blobs {
+            header[DIM_AT..DIM_AT + 8].copy_from_slice(&dim.to_le_bytes());
+            let mut bytes = header.clone();
             bytes.extend((blob.len() as u64).to_le_bytes());
             bytes.extend(blob);
             match DataOwner::from_key_bytes(bytes) {
@@ -275,6 +290,34 @@ mod tests {
         new.save_keys(&path).unwrap();
         assert!(!tmp.exists(), "temp file must not outlive the rename");
         assert_eq!(DataOwner::load_keys(&path).unwrap().to_key_bytes(), new.to_key_bytes());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A new key file is readable by its owner only, a stale temp file
+    /// does not lend it its mode, and a rewrite keeps whatever mode the
+    /// operator gave the file it replaces.
+    #[test]
+    fn key_saves_keep_the_file_private() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = std::env::temp_dir().join(format!("ppanns_key_mode_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("owner.keys");
+        let mode = |p: &Path| std::fs::metadata(p).unwrap().permissions().mode() & 0o777;
+        let chmod = |p: &Path, m| std::fs::set_permissions(p, PermissionsExt::from_mode(m));
+        let data = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
+        let owner = DataOwner::setup(PpAnnParams::new(2).with_seed(6), &data);
+
+        let tmp = crate::wal::tmp_sibling(&path);
+        std::fs::write(&tmp, b"left by a crash").unwrap();
+        chmod(&tmp, 0o644).unwrap();
+        owner.save_keys(&path).unwrap();
+        assert_eq!(mode(&path), 0o600);
+        for kept in [0o600, 0o640] {
+            chmod(&path, kept).unwrap();
+            owner.save_keys(&path).unwrap();
+            assert_eq!(mode(&path), kept);
+        }
+        assert_eq!(DataOwner::load_keys(&path).unwrap().to_key_bytes(), owner.to_key_bytes());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -46,8 +46,9 @@ use crate::wal::{sync_dir, tmp_sibling, SealHasher, SnapshotId};
 use ppann_dce::DceCiphertext;
 use ppann_hnsw::{Hnsw, SnapshotError};
 use ppann_linalg::{write_f64s, Section, SectionError};
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, Permissions};
 use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::os::unix::fs::{OpenOptionsExt, PermissionsExt};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"PPDB";
@@ -305,15 +306,38 @@ pub fn save_collection_snapshot(
 /// `Catalog::load_dir` (which filters on the `.ppdb` extension) and
 /// simply overwritten next time.
 ///
+/// The published file keeps the mode of the file it replaces, so an
+/// operator's `chmod` survives every rewrite; a new file gets the
+/// default mode (0666 less the umask).
+///
 /// Returns the [`SnapshotId`] of the bytes written, computed in the same
 /// pass, and the open (readable) handle of the published file.
 pub fn atomic_write(
     path: &Path,
     write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> Result<(SnapshotId, File), PersistError> {
+    atomic_write_mode(path, 0o666, write)
+}
+
+/// [`atomic_write`] with the mode a new file gets (less the umask): key
+/// files pass 0600, so no other user can read them, nor the temp file
+/// while it is written.
+pub(crate) fn atomic_write_mode(
+    path: &Path,
+    mode: u32,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(SnapshotId, File), PersistError> {
     let tmp = tmp_sibling(path);
-    let file = OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&tmp)?;
-    let staged = stage(&file, write).and_then(|seal| std::fs::rename(&tmp, path).map(|()| seal));
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .mode(mode)
+        .open(&tmp)?;
+    let staged = set_mode(&file, path, mode)
+        .and_then(|()| stage(&file, write))
+        .and_then(|seal| std::fs::rename(&tmp, path).map(|()| seal));
     let seal = staged.inspect_err(|_| {
         std::fs::remove_file(&tmp).ok();
     })?;
@@ -321,6 +345,17 @@ pub fn atomic_write(
         sync_dir(dir)?;
     }
     Ok((seal, file))
+}
+
+/// Gives the temp `file` the mode of the file at `path` if there is one,
+/// else at most `mode`: `mode` shaped the temp file only if this attempt
+/// created it, and one left by a crash keeps its own.
+fn set_mode(file: &File, path: &Path, mode: u32) -> io::Result<()> {
+    let perms = match std::fs::metadata(path) {
+        Ok(target) => target.permissions(),
+        Err(_) => Permissions::from_mode(file.metadata()?.permissions().mode() & mode),
+    };
+    file.set_permissions(perms)
 }
 
 /// Streams `write` into `file` through the sealing buffer and fsyncs it.
@@ -650,6 +685,21 @@ mod tests {
         assert!(!tmp.exists(), "temp file must not outlive the rename");
         let (_, reloaded) = load_snapshot(&path).unwrap();
         assert_eq!(reloaded.len(), 11);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot rewrite publishes the file under the mode the operator
+    /// gave the one it replaces.
+    #[test]
+    fn a_rewrite_keeps_the_snapshot_mode() {
+        let dir = std::env::temp_dir().join(format!("ppanns_snap_mode_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mode.ppdb");
+        let meta = CollectionMeta { name: "mode".into(), shards: 1 };
+        save_collection_snapshot(&path, &meta, &EncryptedDatabase::empty(2)).unwrap();
+        std::fs::set_permissions(&path, Permissions::from_mode(0o640)).unwrap();
+        save_collection_snapshot(&path, &meta, &EncryptedDatabase::empty(2)).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().permissions().mode() & 0o777, 0o640);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -119,7 +119,10 @@ impl DceSecretKey {
         if &head[..4] != MAGIC || u32::from_le_bytes(head[4..].try_into().unwrap()) != VERSION {
             return Err(KeyCodecError::BadHeader);
         }
-        let dim = data.u64()? as usize;
+        // A dim-d key holds more than d f64s, so a dim past the section's
+        // length is a lie; bounding it here keeps the size arithmetic of
+        // `from_raw_parts` (`d + 1`, `+ 8`, `2 *`) from overflowing.
+        let dim = data.u64().and_then(|d| data.need(d, 8))?;
         let mut m = Vec::with_capacity(7);
         for _ in 0..7 {
             m.push(read_matrix(&mut data)?);
@@ -220,9 +223,20 @@ mod tests {
             key.resize(96, 0);
             assert_eq!(DceSecretKey::from_bytes(&key).unwrap_err(), KeyCodecError::Truncated);
         }
+        assert_eq!(DceSecretKey::from_bytes(huge_dim_key()).unwrap_err(), KeyCodecError::Truncated);
         let (_, pi1, kv1) = key_and_offsets();
         assert_eq!(load_edited(kv1, 1 << 61).unwrap_err(), KeyCodecError::Truncated);
         assert_eq!(load_edited(pi1, 1 << 62).unwrap_err(), KeyCodecError::Truncated);
+    }
+
+    /// A 208-byte key claiming dim = u64::MAX, every matrix 0 × 0 and
+    /// every permutation and vector empty.
+    fn huge_dim_key() -> Vec<u8> {
+        let mut key = MAGIC.to_vec();
+        key.extend(VERSION.to_le_bytes());
+        key.extend(u64::MAX.to_le_bytes());
+        key.resize(key.len() + 7 * 16 + 2 * 8 + 4 * 8 + 4 * 8, 0);
+        key
     }
 
     /// A permutation with a repeated entry is refused, not a panic.
