@@ -6,7 +6,7 @@
 //! query trapdoors. **The file is raw key material** — protect it like one.
 
 use crate::owner::{DataOwner, OwnerSecretKey, PpAnnParams};
-use crate::persist::{atomic_write_mode, corrupt, short, PersistError};
+use crate::persist::{atomic_write, corrupt, short, PersistError};
 use ppann_dce::{DceSecretKey, KeyCodecError};
 use ppann_dcpe::{SapEncryptor, SapKey};
 use ppann_hnsw::HnswParams;
@@ -94,13 +94,12 @@ impl DataOwner {
         Ok(DataOwner::from_parts(Arc::new(key), params))
     }
 
-    /// Writes the key bundle to a file, atomically (see
-    /// [`crate::persist::atomic_write`]): a failed or interrupted save
-    /// leaves the previous key file intact. A new key file is readable by
+    /// Writes the key bundle to a file, atomically (see [`atomic_write`]):
+    /// a failed or interrupted save leaves the previous key file intact. A new key file is readable by
     /// its owner only (0600); a rewrite keeps the mode of the file it
     /// replaces.
     pub fn save_keys(&self, path: &Path) -> Result<(), PersistError> {
-        atomic_write_mode(path, 0o600, |w| self.write_keys_to(w)).map(drop)
+        atomic_write(path, 0o600, |w| self.write_keys_to(w)).map(drop)
     }
 
     /// Loads a key bundle from a file, streaming it through one buffer.

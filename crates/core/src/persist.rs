@@ -46,9 +46,9 @@ use crate::wal::{sync_dir, tmp_sibling, SealHasher, SnapshotId};
 use ppann_dce::DceCiphertext;
 use ppann_hnsw::{Hnsw, SnapshotError};
 use ppann_linalg::{write_f64s, Section, SectionError};
-use std::fs::{File, OpenOptions, Permissions};
+use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::os::unix::fs::{OpenOptionsExt, PermissionsExt};
+use std::os::unix::fs::OpenOptionsExt;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"PPDB";
@@ -217,7 +217,7 @@ impl EncryptedDatabase {
 
     /// Writes the snapshot to a file (atomically — see [`atomic_write`]).
     pub fn save_to(&self, path: &Path) -> Result<(), PersistError> {
-        atomic_write(path, |w| self.write_to(w)).map(drop)
+        atomic_write(path, 0o666, |w| self.write_to(w)).map(drop)
     }
 
     /// Loads a v1 snapshot from a file, streaming it through one fixed
@@ -279,7 +279,7 @@ pub fn write_collection_snapshot(
     meta: &CollectionMeta,
     db: &EncryptedDatabase,
 ) -> Result<(SnapshotId, File), PersistError> {
-    atomic_write(path, |w| write_collection_to(w, meta, db))
+    atomic_write(path, 0o666, |w| write_collection_to(w, meta, db))
 }
 
 /// [`write_collection_snapshot`] for callers that keep neither the seal
@@ -304,38 +304,27 @@ pub fn save_collection_snapshot(
 /// then needs; a directory squatting on the temp path is never removed.
 /// Leftover `.tmp` files from a crashed attempt are invisible to
 /// `Catalog::load_dir` (which filters on the `.ppdb` extension) and
-/// simply overwritten next time.
+/// removed by the next attempt.
 ///
-/// The published file keeps the mode of the file it replaces, so an
-/// operator's `chmod` survives every rewrite; a new file gets the
-/// default mode (0666 less the umask).
+/// A new file is created at `mode` less the umask (key files pass 0600,
+/// so no other user can read them or their temp file, everything else
+/// 0666); a rewrite keeps the mode of the file it replaces, so an
+/// operator's `chmod` survives it.
 ///
 /// Returns the [`SnapshotId`] of the bytes written, computed in the same
 /// pass, and the open (readable) handle of the published file.
 pub fn atomic_write(
     path: &Path,
-    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
-) -> Result<(SnapshotId, File), PersistError> {
-    atomic_write_mode(path, 0o666, write)
-}
-
-/// [`atomic_write`] with the mode a new file gets (less the umask): key
-/// files pass 0600, so no other user can read them, nor the temp file
-/// while it is written.
-pub(crate) fn atomic_write_mode(
-    path: &Path,
     mode: u32,
     write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> Result<(SnapshotId, File), PersistError> {
     let tmp = tmp_sibling(path);
-    let file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .mode(mode)
-        .open(&tmp)?;
-    let staged = set_mode(&file, path, mode)
+    // A temp file left by a crash would keep its own mode.
+    std::fs::remove_file(&tmp).ok();
+    let file = OpenOptions::new().read(true).write(true).create_new(true).mode(mode).open(&tmp)?;
+    let kept =
+        std::fs::metadata(path).map_or(Ok(()), |old| file.set_permissions(old.permissions()));
+    let staged = kept
         .and_then(|()| stage(&file, write))
         .and_then(|seal| std::fs::rename(&tmp, path).map(|()| seal));
     let seal = staged.inspect_err(|_| {
@@ -345,17 +334,6 @@ pub(crate) fn atomic_write_mode(
         sync_dir(dir)?;
     }
     Ok((seal, file))
-}
-
-/// Gives the temp `file` the mode of the file at `path` if there is one,
-/// else at most `mode`: `mode` shaped the temp file only if this attempt
-/// created it, and one left by a crash keeps its own.
-fn set_mode(file: &File, path: &Path, mode: u32) -> io::Result<()> {
-    let perms = match std::fs::metadata(path) {
-        Ok(target) => target.permissions(),
-        Err(_) => Permissions::from_mode(file.metadata()?.permissions().mode() & mode),
-    };
-    file.set_permissions(perms)
 }
 
 /// Streams `write` into `file` through the sealing buffer and fsyncs it.
@@ -692,12 +670,13 @@ mod tests {
     /// gave the one it replaces.
     #[test]
     fn a_rewrite_keeps_the_snapshot_mode() {
+        use std::os::unix::fs::PermissionsExt;
         let dir = std::env::temp_dir().join(format!("ppanns_snap_mode_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mode.ppdb");
         let meta = CollectionMeta { name: "mode".into(), shards: 1 };
         save_collection_snapshot(&path, &meta, &EncryptedDatabase::empty(2)).unwrap();
-        std::fs::set_permissions(&path, Permissions::from_mode(0o640)).unwrap();
+        std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o640)).unwrap();
         save_collection_snapshot(&path, &meta, &EncryptedDatabase::empty(2)).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().permissions().mode() & 0o777, 0o640);
         std::fs::remove_dir_all(&dir).ok();
@@ -765,7 +744,7 @@ mod tests {
 
         let image = collection_snapshot_bytes(&meta, &db);
         for cut in [0, 1, 100, image.len() / 2, image.len() - 1] {
-            let failed = atomic_write(&path, |w| {
+            let failed = atomic_write(&path, 0o666, |w| {
                 write_collection_to(&mut FailAfter { inner: w, left: cut }, &meta, &db)
             });
             assert!(matches!(failed, Err(PersistError::Io(_))), "cut at {cut} bytes");

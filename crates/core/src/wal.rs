@@ -49,6 +49,7 @@
 //! unfsynced suffix can be torn (see [`FsyncPolicy`] for what
 //! "acknowledged" buys per policy — OPERATIONS.md §9).
 
+use crate::persist::{atomic_write, PersistError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ppann_dce::DceCiphertext;
 use std::fs::{File, OpenOptions};
@@ -603,27 +604,19 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Creates a fresh log sealed to snapshot identity `base`,
-    /// atomically: header + checkpoint are written to `<path>.tmp`,
-    /// fsynced, renamed over `path`, and the directory fsynced — so the
-    /// log either exists complete or not at all.
+    /// atomically (see [`atomic_write`]): header + checkpoint are written
+    /// to `<path>.tmp`, fsynced, renamed over `path`, and the directory
+    /// fsynced — so the log either exists complete or not at all.
     pub fn create_sealed(
         path: &Path,
         base: SnapshotId,
         policy: FsyncPolicy,
     ) -> std::io::Result<Self> {
-        let tmp = tmp_sibling(path);
-        let mut image = BytesMut::new();
-        image.put_slice(&wal_header());
-        image.put_slice(&WalRecord::Checkpoint { base }.encode());
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&image)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent() {
-            sync_dir(dir)?;
-        }
+        let image = [&wal_header()[..], &WalRecord::Checkpoint { base }.encode()].concat();
+        atomic_write(path, 0o666, |w| w.write_all(&image)).map_err(|e| match e {
+            PersistError::Io(e) => e,
+            e => std::io::Error::other(e.to_string()),
+        })?;
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Self { file, base, len: image.len() as u64, policy, unsynced: 0, dirty: false })
     }
@@ -635,19 +628,8 @@ impl WalWriter {
     /// opening, so this only fires on logic errors or post-replay
     /// corruption).
     pub fn open_append(path: &Path, policy: FsyncPolicy) -> std::io::Result<Self> {
-        let head = {
-            let mut buf = vec![0u8; WAL_SEALED_LEN as usize];
-            let mut f = File::open(path)?;
-            let mut take = 0;
-            while take < buf.len() {
-                match f.read(&mut buf[take..])? {
-                    0 => break,
-                    n => take += n,
-                }
-            }
-            buf.truncate(take);
-            buf
-        };
+        let mut head = Vec::new();
+        File::open(path)?.take(WAL_SEALED_LEN).read_to_end(&mut head)?;
         let base = match decode_record_at(&head, WAL_HEADER_LEN) {
             Some((WalRecord::Checkpoint { base }, _)) => base,
             _ => {

@@ -157,17 +157,8 @@ impl Hnsw {
         r: &mut R,
         section_len: usize,
     ) -> Result<Self, SnapshotError> {
-        let mut section = Section::new(r, section_len as u64);
-        let index = Self::read_section(&mut section, section_len)?;
-        section.skip_rest()?;
-        Ok(index)
-    }
-
-    fn read_section<R: Read + ?Sized>(
-        data: &mut Section<'_, R>,
-        input_len: usize,
-    ) -> Result<Self, SnapshotError> {
         use SnapshotError::Corrupt;
+        let data = &mut Section::new(r, section_len as u64);
         let magic = match data.array::<8>() {
             Err(SectionError::Short) => return Err(SnapshotError::BadHeader),
             magic => magic?,
@@ -195,7 +186,7 @@ impl Hnsw {
 
         data.need(n_nodes as u64, MIN_NODE_BYTES as u64)?;
         let arena_bytes = n_nodes * (params.m0 + 2) * 4;
-        if arena_bytes > ARENA_PER_INPUT_BYTE.saturating_mul(input_len) + ARENA_SLACK {
+        if arena_bytes > ARENA_PER_INPUT_BYTE.saturating_mul(section_len) + ARENA_SLACK {
             return Err(Corrupt("layer-0 arena out of proportion to the snapshot"));
         }
         let mut adj = Adjacency::with_capacity(params.m0, n_nodes)
@@ -241,6 +232,7 @@ impl Hnsw {
         if deleted.iter().filter(|&&d| !d).count() != live {
             return Err(Corrupt("live count disagrees with the tombstones"));
         }
+        data.skip_rest()?;
         Ok(Hnsw::from_parts(params, store, adj, deleted, entry, live))
     }
 }
