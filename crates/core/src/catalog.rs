@@ -11,7 +11,10 @@
 //! ## Concurrency
 //!
 //! The map itself sits behind one `RwLock`, held only for
-//! lookup/insert/remove — never across a search. Handles are `Arc`s, so a
+//! lookup/insert/remove — never across a search. Create and drop run
+//! whole under its write lock, files included, so they are serialized
+//! against each other for every caller: each listener of the network
+//! service and a replication follower alike. Handles are `Arc`s, so a
 //! collection dropped mid-query finishes the queries already routed to it
 //! and is freed when the last handle goes away; new requests get an
 //! unknown-collection error.
@@ -39,6 +42,7 @@ use crate::persist::{
 use crate::query::EncryptedQuery;
 use crate::scratch::QueryScratch;
 use crate::server::{CloudServer, SearchOutcome, SearchParams};
+use crate::stats::ServiceStats;
 use crate::wal::{replay, wal_path_for, DurabilityOptions, SnapshotId, WalRecord, WalWriter};
 use parking_lot::{Mutex, RwLock};
 use ppann_dce::DceCiphertext;
@@ -215,6 +219,30 @@ impl CollectionWal {
         }
     }
 
+    /// Retires the log at drop time: removes the snapshot and log files
+    /// and marks the state `Dropped` — so a mutation racing the drop
+    /// (already holding the collection handle) can neither append to the
+    /// deleted log nor recreate the files through compaction, and a
+    /// restart cannot resurrect the collection. Files already gone are
+    /// fine; on any other IO failure nothing is marked and the collection
+    /// stays fully serviceable.
+    fn retire(&mut self) -> std::io::Result<()> {
+        // Snapshot first: a crash in between leaves an orphan `.wal`
+        // that the loader ignores without its snapshot, while the
+        // reverse order would leave a snapshot that resurrects the
+        // collection minus its logged tail.
+        for path in [self.snapshot_path.clone(), wal_path_for(&self.snapshot_path)] {
+            match std::fs::remove_file(&path) {
+                Ok(()) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.state = WalState::Dropped;
+        self.snapshot = None;
+        Ok(())
+    }
+
     /// Current log length; 0 while no appendable log exists (the stale
     /// log of a pending reseal is about to be replaced, a dropped
     /// collection has no log at all) so the compaction threshold cannot
@@ -265,7 +293,7 @@ pub struct WalStatus {
 
 /// One named collection: a validated name plus the [`CloudServer`] that
 /// answers it, behind a read-write lock — searches share it, inserts and
-/// deletes take it exclusively.
+/// deletes take it exclusively — and the collection's request counters.
 pub struct Collection {
     name: String,
     /// Cached at registration: a server's dimensionality never changes
@@ -277,16 +305,25 @@ pub struct Collection {
     /// logged before it is applied. `None` keeps the collection
     /// in-memory-only with infallible mutations.
     wal: Option<Mutex<CollectionWal>>,
+    /// The frames routed to this collection, counted by every listener
+    /// that serves the catalog; uptime runs from registration.
+    stats: Arc<ServiceStats>,
 }
 
 impl Collection {
-    fn new(name: &str, db: EncryptedDatabase, wal: Option<CollectionWal>) -> Self {
+    fn new(
+        name: &str,
+        db: EncryptedDatabase,
+        wal: Option<CollectionWal>,
+        stats: Arc<ServiceStats>,
+    ) -> Self {
         let server = CloudServer::new(db);
         Self {
             name: name.to_string(),
             dim: server.dim(),
             server: RwLock::new(server),
             wal: wal.map(Mutex::new),
+            stats,
         }
     }
 
@@ -298,6 +335,11 @@ impl Collection {
     /// Vector dimensionality served.
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// The collection's request counters.
+    pub fn stats(&self) -> &ServiceStats {
+        &self.stats
     }
 
     /// Live vector count.
@@ -387,12 +429,6 @@ impl Collection {
     /// insert will assign.
     pub fn slots(&self) -> usize {
         self.server.read().slots()
-    }
-
-    /// Whether mutations are written ahead to a log (a `--data-dir`
-    /// collection).
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
     }
 
     /// Durability diagnostics; `None` on an in-memory-only collection.
@@ -492,36 +528,6 @@ impl Collection {
         wal.writer()?;
         Ok(())
     }
-
-    /// Retires a durable collection at drop time: under the WAL mutex,
-    /// removes its snapshot and log files and marks the log
-    /// `WalState::Dropped` — so a mutation racing the drop (already
-    /// holding this handle) can neither append to the deleted log nor
-    /// recreate the files through compaction, and a restart cannot
-    /// resurrect the collection. Files already gone are fine; on any
-    /// other IO failure nothing is marked and the collection stays
-    /// fully serviceable (the caller must then keep it registered).
-    /// No-op on an in-memory collection.
-    pub fn retire_durable(&self) -> std::io::Result<()> {
-        let Some(wal) = &self.wal else {
-            return Ok(());
-        };
-        let mut wal = wal.lock();
-        // Snapshot first: a crash in between leaves an orphan `.wal`
-        // that the loader ignores without its snapshot, while the
-        // reverse order would leave a snapshot that resurrects the
-        // collection minus its logged tail.
-        for path in [wal.snapshot_path.clone(), wal_path_for(&wal.snapshot_path)] {
-            match std::fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
-        wal.state = WalState::Dropped;
-        wal.snapshot = None;
-        Ok(())
-    }
 }
 
 impl std::fmt::Debug for Collection {
@@ -582,7 +588,7 @@ impl Catalog {
         if map.contains_key(name) {
             return Err(CatalogError::Duplicate(name.to_string()));
         }
-        let coll = Arc::new(Collection::new(name, db, wal));
+        let coll = Arc::new(Collection::new(name, db, wal, Arc::default()));
         map.insert(name.to_string(), Arc::clone(&coll));
         Ok(coll)
     }
@@ -591,12 +597,9 @@ impl Catalog {
     /// `<name>.ppdb` snapshot (atomically), seals a fresh `<name>.wal`
     /// to that snapshot's identity, and only then makes the collection
     /// visible — all under the catalog's write lock, so the files on
-    /// disk always belong to the registered collection. On any failure
-    /// both files are removed and nothing is registered.
-    ///
-    /// Concurrent `create_durable` calls for the *same* name must be
-    /// serialized by the caller (the service's lifecycle lock does);
-    /// the map lock makes the registration itself atomic regardless.
+    /// disk always belong to the registered collection and no create or
+    /// drop of any name can interleave. On any failure both files are
+    /// removed and nothing is registered.
     pub fn create_durable(
         &self,
         name: &str,
@@ -631,25 +634,47 @@ impl Catalog {
     /// bootstrapped from a primary's snapshot. Replace-in-one-step
     /// matters: during a re-bootstrap (the primary compacted, changing
     /// its seal) the old image keeps answering reads until the new one
-    /// swaps in — readers never see an unknown-collection window.
-    /// Returns the new handle.
+    /// swaps in — readers never see an unknown-collection window — and
+    /// the new image inherits the replaced one's counters. Returns the
+    /// new handle.
     pub fn install_replica(
         &self,
         name: &str,
         db: EncryptedDatabase,
     ) -> Result<Arc<Collection>, CatalogError> {
         validate_collection_name(name)?;
-        let coll = Arc::new(Collection::new(name, db, None));
-        self.inner.write().insert(name.to_string(), Arc::clone(&coll));
+        let mut map = self.inner.write();
+        let stats = map.get(name).map(|old| Arc::clone(&old.stats)).unwrap_or_default();
+        let coll = Arc::new(Collection::new(name, db, None, stats));
+        map.insert(name.to_string(), Arc::clone(&coll));
         Ok(coll)
     }
 
-    /// Removes and returns the collection named `name`. In-flight queries
+    /// Removes and returns the collection named `name`. A durable
+    /// collection is retired in the same step, under the map's write
+    /// lock: its snapshot and log files are removed and the handle can
+    /// no longer mutate or compact. If the files cannot be removed the
+    /// collection stays registered and serviceable. In-flight queries
     /// holding the handle finish normally; the server is freed when the
     /// last handle drops.
-    pub fn drop_collection(&self, name: &str) -> Result<Arc<Collection>, CatalogError> {
-        validate_collection_name(name)?;
-        self.inner.write().remove(name).ok_or_else(|| CatalogError::Unknown(name.to_string()))
+    pub fn drop_collection(&self, name: &str) -> Result<Arc<Collection>, DurableCatalogError> {
+        validate_collection_name(name).map_err(DurableCatalogError::Catalog)?;
+        let unknown = || DurableCatalogError::Catalog(CatalogError::Unknown(name.to_string()));
+        let coll = self.get(name).ok_or_else(unknown)?;
+        // The log mutex is taken before the map lock: a drop that waits
+        // out a running compaction or append must not stall every lookup.
+        let mut wal = coll.wal.as_ref().map(|wal| wal.lock());
+        let mut map = self.inner.write();
+        // A concurrent drop, or drop and re-create, got here first.
+        if !map.get(name).is_some_and(|current| Arc::ptr_eq(current, &coll)) {
+            return Err(unknown());
+        }
+        if let Some(wal) = &mut wal {
+            wal.retire().map_err(|e| DurableCatalogError::Persist(e.into()))?;
+        }
+        map.remove(name);
+        drop((map, wal));
+        Ok(coll)
     }
 
     /// The collection named `name`, if any.
@@ -691,12 +716,12 @@ impl Catalog {
         self.inner.read().values().map(|c| c.live_len()).sum()
     }
 
-    /// Builds a catalog from a snapshot directory: every `*.ppdb` file
-    /// becomes one collection named after its file stem, loaded in sorted
-    /// order. v2 snapshots must embed the same name as their stem (a
-    /// renamed file is refused rather than silently re-labeled); v1
-    /// snapshots — databases written before collections existed — load
-    /// the same way. Every collection is one [`CloudServer`]: a v2 header
+    /// Builds a durable catalog from a snapshot directory: every
+    /// `*.ppdb` file becomes one collection named after its file stem,
+    /// loaded in sorted order. v2 snapshots must embed the same name as
+    /// their stem (a renamed file is refused rather than silently
+    /// re-labeled); v1 snapshots — databases written before collections
+    /// existed — load the same way. Every collection is one [`CloudServer`]: a v2 header
     /// naming several shards (a retired server shape) loads losslessly as
     /// one index, because its inner image is always the whole database.
     ///
@@ -708,24 +733,14 @@ impl Catalog {
     /// snapshot — the leftover of a crash inside a compaction — is
     /// discarded wholesale, which is lossless by construction (see
     /// [`crate::wal`]).
-    pub fn load_dir(dir: &Path) -> Result<Self, PersistError> {
-        Self::load_dir_inner(dir, None).map(|(catalog, _)| catalog)
-    }
-
-    /// [`Self::load_dir`] for a serving deployment: additionally attaches
-    /// a WAL writer to every collection (continuing the replayed log, or
-    /// sealing a fresh one where none exists) so all later mutations are
-    /// durable under `opts`. Returns one recovery report per collection.
+    ///
+    /// Every collection then gets a WAL writer (continuing the replayed
+    /// log, or sealing a fresh one where none exists), so all later
+    /// mutations are durable under `opts`. Returns one recovery report
+    /// per collection.
     pub fn load_dir_durable(
         dir: &Path,
         opts: DurabilityOptions,
-    ) -> Result<(Self, Vec<WalRecoveryReport>), PersistError> {
-        Self::load_dir_inner(dir, Some(opts))
-    }
-
-    fn load_dir_inner(
-        dir: &Path,
-        durability: Option<DurabilityOptions>,
     ) -> Result<(Self, Vec<WalRecoveryReport>), PersistError> {
         let catalog = Self::new();
         let mut reports = Vec::new();
@@ -765,16 +780,14 @@ impl Catalog {
             }
             let (report, log_usable) = replay_wal_over(&mut db, &path, base, &stem)?;
             reports.push(report);
-            let wal = match durability {
-                None => None,
-                Some(opts) => Some(if log_usable {
-                    CollectionWal::open_existing(&path, file, opts)?
-                } else {
-                    CollectionWal::new_sealed(&path, file, base, opts)?
-                }),
+            let wal = if log_usable {
+                CollectionWal::open_existing(&path, file, opts)?
+            } else {
+                CollectionWal::new_sealed(&path, file, base, opts)?
             };
             let mut map = catalog.inner.write();
-            Self::register_locked(&mut map, &stem, db, wal).map_err(|e| corrupt(e.to_string()))?;
+            Self::register_locked(&mut map, &stem, db, Some(wal))
+                .map_err(|e| corrupt(e.to_string()))?;
         }
         Ok((catalog, reports))
     }
@@ -950,16 +963,31 @@ mod tests {
             catalog.create("default", db2).unwrap_err(),
             CatalogError::Duplicate("default".into())
         );
-        assert_eq!(
+        assert!(matches!(
             catalog.drop_collection("nope").unwrap_err(),
-            CatalogError::Unknown("nope".into())
-        );
+            DurableCatalogError::Catalog(CatalogError::Unknown(name)) if name == "nope"
+        ));
         assert!(matches!(
             catalog.drop_collection("no/pe").unwrap_err(),
-            CatalogError::InvalidName(_)
+            DurableCatalogError::Catalog(CatalogError::InvalidName(_))
         ));
         catalog.drop_collection("default").unwrap();
         assert!(catalog.is_empty());
+    }
+
+    /// A re-bootstrapped replica keeps its predecessor's counters; a
+    /// collection registered after a drop starts from zero.
+    #[test]
+    fn replica_reinstall_keeps_the_counters() {
+        let catalog = Catalog::new();
+        let first = catalog.install_replica("r", make_db(20, 4, 42).2).unwrap();
+        first.stats().record_insert();
+        let second = catalog.install_replica("r", make_db(30, 4, 43).2).unwrap();
+        assert_eq!(second.live_len(), 30);
+        assert_eq!(second.stats().snapshot(0).inserts, 1);
+        catalog.drop_collection("r").unwrap();
+        let fresh = catalog.install_replica("r", make_db(20, 4, 44).2).unwrap();
+        assert_eq!(fresh.stats().snapshot(0).inserts, 0);
     }
 
     #[test]
@@ -1008,7 +1036,7 @@ mod tests {
         // Non-snapshot files are ignored.
         std::fs::write(dir.join("notes.txt"), b"not a snapshot").unwrap();
 
-        let catalog = Catalog::load_dir(&dir).unwrap();
+        let (catalog, _) = Catalog::load_dir_durable(&dir, DurabilityOptions::default()).unwrap();
         assert_eq!(catalog.len(), 2);
         let legacy = catalog.get("legacy").unwrap();
         assert_eq!(legacy.dim(), 4);
@@ -1019,7 +1047,10 @@ mod tests {
 
         // A v2 snapshot renamed away from its embedded name is refused.
         std::fs::rename(dir.join("wide.ppdb"), dir.join("renamed.ppdb")).unwrap();
-        assert!(Catalog::load_dir(&dir).is_err(), "renamed v2 snapshot must be refused");
+        assert!(
+            Catalog::load_dir_durable(&dir, DurabilityOptions::default()).is_err(),
+            "renamed v2 snapshot must be refused"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1040,7 +1071,7 @@ mod tests {
                 &db,
             )
             .unwrap();
-            let err = Catalog::load_dir(&dir).unwrap_err();
+            let err = Catalog::load_dir_durable(&dir, DurabilityOptions::default()).unwrap_err();
             assert!(
                 matches!(&err, PersistError::Corrupt(msg) if msg.contains("shard count")),
                 "shards={bad}: expected Corrupt shard-count error, got {err:?}"
@@ -1067,7 +1098,7 @@ mod tests {
         let catalog = Catalog::new();
         let opts = DurabilityOptions::default();
         let coll = catalog.create_durable("docs", db, &dir, opts).unwrap();
-        assert!(coll.is_durable());
+        assert!(coll.wal_status().is_some(), "durable collection");
 
         let mut inserted = Vec::new();
         for v in data.iter().take(6) {
@@ -1226,9 +1257,10 @@ mod tests {
     }
 
     /// A drop racing a mutation that still holds the collection handle:
-    /// once retired, the handle can neither ack nor — via a
-    /// threshold-crossing compaction — recreate the deleted files, so a
-    /// restart cannot resurrect the dropped collection.
+    /// `drop_collection` alone removes both files and retires the
+    /// handle, which can then neither ack nor — via a threshold-crossing
+    /// compaction — recreate the deleted files, so a restart cannot
+    /// resurrect the dropped collection.
     #[test]
     fn retired_collection_cannot_resurrect_through_compaction() {
         let dir = temp_dir("retire");
@@ -1240,7 +1272,6 @@ mod tests {
         let (c_sap, c_dce) = owner.encrypt_for_insert(&data[0], 1);
         coll.insert(c_sap, c_dce).unwrap();
 
-        coll.retire_durable().unwrap();
         catalog.drop_collection("r").unwrap();
         assert!(!dir.join("r.ppdb").exists() && !dir.join("r.wal").exists());
 
@@ -1257,6 +1288,37 @@ mod tests {
 
         let (reloaded, _) = Catalog::load_dir_durable(&dir, opts).unwrap();
         assert!(reloaded.is_empty(), "dropped collection came back on restart");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A drop that waits for a busy log (a compaction or append holding
+    /// its mutex) waits outside the map lock, so lookups go on. The pause
+    /// only lets the drop reach the log mutex; the assertions hold in
+    /// every interleaving.
+    #[test]
+    fn a_drop_waiting_on_a_busy_log_leaves_lookups_free() {
+        let dir = temp_dir("busy_drop");
+        let catalog = Arc::new(Catalog::new());
+        let opts = DurabilityOptions::default();
+        let busy = catalog.create_durable("busy", make_db(10, 4, 56).2, &dir, opts).unwrap();
+        catalog.create("other", make_db(10, 4, 57).2).unwrap();
+        let log = busy.wal.as_ref().unwrap().lock();
+        let dropper = std::thread::spawn({
+            let catalog = Arc::clone(&catalog);
+            move || catalog.drop_collection("busy").is_ok()
+        });
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let lookup = std::thread::spawn({
+            let catalog = Arc::clone(&catalog);
+            move || tx.send((catalog.get("other").is_some(), catalog.get("busy").is_some()))
+        });
+        let answered = rx.recv_timeout(std::time::Duration::from_secs(10));
+        drop(log);
+        assert_eq!(answered, Ok((true, true)), "a lookup waited on a drop's busy log");
+        lookup.join().unwrap().unwrap();
+        assert!(dropper.join().unwrap());
+        assert!(catalog.get("busy").is_none() && !dir.join("busy.ppdb").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1398,7 +1460,7 @@ mod tests {
             queries.iter().map(|q| coll.search(q, &params).ids).collect()
         };
 
-        let plain = Catalog::load_dir(&dir).unwrap();
+        let (plain, _) = Catalog::load_dir_durable(&dir, DurabilityOptions::default()).unwrap();
         assert_eq!(answers(&plain.get("old").unwrap()), expected, "load_dir");
         drop(plain);
 

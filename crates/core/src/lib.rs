@@ -21,11 +21,13 @@
 //! There is one server shape: the paper's [`CloudServer`]. A [`Catalog`]
 //! hosts many *named collections* of it in one process, each a
 //! [`Collection`] holding its `CloudServer` behind a read-write lock
-//! (concurrent searches, exclusive maintenance) plus an optional
-//! write-ahead log; collections may differ in dimensionality. The network
-//! service namespaces its requests over the catalog, and
-//! [`BatchExecutor`] fans a query batch over one collection's shared lock
-//! with work-stealing threads.
+//! (concurrent searches, exclusive maintenance), its request counters
+//! ([`ServiceStats`]) and an optional write-ahead log; collections may
+//! differ in dimensionality. The catalog is the one registry of
+//! collections: it serializes create and drop, and every listener of the
+//! network service routes through it. The network service namespaces its
+//! requests over the catalog, and [`BatchExecutor`] fans a query batch
+//! over one collection's shared lock with work-stealing threads.
 //!
 //! ## What the server learns
 //!
@@ -62,6 +64,7 @@ mod persist;
 mod query;
 mod scratch;
 mod server;
+mod stats;
 pub mod tune;
 mod user;
 pub mod wal;
@@ -85,6 +88,7 @@ pub use persist::{
 pub use query::EncryptedQuery;
 pub use scratch::{QueryScratch, QueryScratchPool};
 pub use server::{CloudServer, SearchOutcome, SearchParams};
+pub use stats::{ServiceStats, StatsSnapshot};
 pub use user::QueryUser;
 pub use wal::{DurabilityOptions, FsyncPolicy, DEFAULT_COMPACT_BYTES};
 pub use wire::WireError;

@@ -1,14 +1,17 @@
 //! Atomic service counters with bucketed latency percentiles.
 //!
-//! Every worker thread updates one shared [`ServiceStats`] with relaxed
-//! atomics — no locking on the hot path. Latency is recorded into
-//! power-of-two microsecond buckets, so the reported p50/p99 are the upper
-//! bound of the bucket containing the percentile (within 2× of the true
-//! value), which is all an operational dashboard needs. OPERATIONS.md
-//! describes how to read these numbers in production.
+//! The network service keeps one [`ServiceStats`] per listener
+//! (process-wide) and every [`Collection`](crate::Collection) carries its
+//! own, so a collection's counters see every listener that serves its
+//! catalog. Workers update them with relaxed atomics — no locking on the
+//! hot path. Latency is recorded into power-of-two microsecond buckets, so
+//! the reported p50/p99 are the upper bound of the bucket containing the
+//! percentile (within 2× of the true value), which is all an operational
+//! dashboard needs. OPERATIONS.md describes how to read these numbers in
+//! production.
 
+use crate::wire::WireError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use ppann_core::wire::WireError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -19,13 +22,13 @@ const LATENCY_BUCKETS: usize = 40;
 
 /// Shared, lock-free service counters.
 ///
-/// Besides the monotonic counters, three *gauges* describe the reactor's
-/// live connection population (server.rs): `conns_parked` (registered in
+/// Besides the monotonic counters, three *gauges* describe the service
+/// reactor's live connection population: `conns_parked` (registered in
 /// epoll, waiting for readiness), `conns_active` (checked out — queued
 /// for or held by a worker), and `ready_depth` (connections sitting in
 /// the ready queue, i.e. wakes the workers have not kept up with). The
 /// reactor maintains the connection gauges single-threadedly; the ready
-/// queue maintains its own depth. Per-collection stats slots never
+/// queue maintains its own depth. A collection's counters never
 /// *update* the three gauges — connections belong to the process, not a
 /// collection — so a per-collection `StatsReply` overlays the
 /// process-wide gauge values onto the collection's own counters at

@@ -13,9 +13,8 @@
 //! key bundles, mirroring the trust split of the paper's Figure 1.
 
 use crate::io::{read_frame, write_frame, FrameReadError};
-use crate::stats::StatsSnapshot;
 use crate::wire::{CollectionEntry, ErrorCode, Frame, WireName, DEFAULT_MAX_FRAME};
-use ppann_core::{EncryptedQuery, SearchOutcome, SearchParams};
+use ppann_core::{EncryptedQuery, SearchOutcome, SearchParams, StatsSnapshot};
 use ppann_dce::DceCiphertext;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};

@@ -24,8 +24,9 @@
 //!   across a `BatchExecutor`, exclusive owner
 //!   maintenance, a disk-backed collection lifecycle (`--data-dir`),
 //!   validated search knobs and batch sizes, graceful shutdown, atomic
-//!   [`ServiceStats`] both process-wide and per collection (including
-//!   the reactor's parked/active/ready-queue gauges).
+//!   [`ServiceStats`] per listener and per collection (the collection's
+//!   own counters, shared by every listener of its catalog), including
+//!   the reactor's parked/active/ready-queue gauges.
 //! * [`client`] — the blocking [`ServiceClient`] (single-frame, batched
 //!   and pipelined search; each with a `_in` variant targeting a named
 //!   collection, plus `list_collections`/`create_collection`/
@@ -74,7 +75,6 @@ pub mod io;
 mod reactor;
 pub mod replication;
 pub mod server;
-pub mod stats;
 mod sys;
 pub mod wire;
 
@@ -88,7 +88,8 @@ pub use client::{
 };
 pub use replication::ReplicationRole;
 pub use server::{serve, serve_catalog, ServiceConfig, ServiceHandle};
-pub use stats::{ServiceStats, StatsSnapshot};
+// The counters live in `ppann-core`, where every collection carries its own.
+pub use ppann_core::{ServiceStats, StatsSnapshot};
 pub use wire::{
     CollectionEntry, ErrorCode, Frame, ProtocolError, WireName, COLLECTION_KIND_CLOUD,
     DEFAULT_MAX_FRAME, PROTOCOL_VERSION, PROTOCOL_VERSION_LEGACY,

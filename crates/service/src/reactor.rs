@@ -44,9 +44,9 @@
 //!   newest deadline.
 
 use crate::io::FrameAssembler;
-use crate::stats::ServiceStats;
 use crate::sys::{Epoll, EpollEvent, Waker, EPOLLET, EPOLLIN, EPOLLONESHOT, EPOLLOUT, EPOLLRDHUP};
 use parking_lot::Mutex;
+use ppann_core::ServiceStats;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};

@@ -46,7 +46,8 @@
 //! resends from there. Divergence (an apply error) is handled the way
 //! restart replay handles a non-applying record: full re-bootstrap, with
 //! [`Catalog::install_replica`] atomically swapping the rebuilt replica in
-//! so reads never observe a missing collection.
+//! so reads never observe a missing collection and its counters carry
+//! over.
 //!
 //! Roles are manual in this version: a process started with
 //! `--replicate-from` is a follower (mutating frames get
@@ -58,7 +59,6 @@
 
 use crate::io::{read_frame, write_frame, FrameReadError};
 use crate::reactor::Shared;
-use crate::server::PerCollectionStats;
 use crate::wire::{ErrorCode, Frame, WireName};
 use ppann_core::wal::{
     decode_record_at, segment_end, snapshot_id, wal_path_for, SnapshotId, WalRecord,
@@ -282,7 +282,6 @@ fn wal_segment(src: &ReplicationSource, log_offset: u64) -> Result<Frame, PullEr
 pub(crate) struct FollowerCtx {
     pub upstream: String,
     pub catalog: Arc<Catalog>,
-    pub coll_stats: Arc<PerCollectionStats>,
     pub role: Arc<ReplicationRole>,
     pub shared: Arc<Shared>,
     pub max_frame: u32,
@@ -530,9 +529,7 @@ fn run_sync(ctx: FollowerCtx, name: String) {
                 Frame::Error { code: ErrorCode::UnknownCollection, .. } => {
                     // Dropped upstream: drop the local replica and let
                     // the manager respawn us if the name returns.
-                    let _lifecycle = ctx.coll_stats.lock_lifecycle();
                     let _ = ctx.catalog.drop_collection(&name);
-                    ctx.coll_stats.remove(&name);
                     return;
                 }
                 Frame::Error { .. } => {
@@ -564,10 +561,6 @@ fn install_pending(ctx: &FollowerCtx, name: &str, state: &mut SyncState) -> bool
         Ok((_, db)) => db,
         Err(_) => return false,
     };
-    // Slot before visibility, same as the create path: a resolved
-    // collection must always find its stats slot.
-    let _lifecycle = ctx.coll_stats.lock_lifecycle();
-    ctx.coll_stats.insert(name);
     if ctx.catalog.install_replica(name, db).is_err() {
         return false;
     }

@@ -77,20 +77,17 @@
 
 use crate::reactor::{deadline_after, Command, Conn, ConnState, Interest, Reactor, Shared};
 use crate::replication::{self, FollowerCtx, ReplicationRole};
-use crate::stats::ServiceStats;
 use crate::wire::{
     CollectionEntry, ErrorCode, Frame, WireName, COLLECTION_KIND_CLOUD, DEFAULT_MAX_FRAME,
 };
 use bytes::BytesMut;
-use parking_lot::{Mutex, RwLock};
 use ppann_core::catalog::{validate_collection_name, Catalog, Collection};
-use ppann_core::wal::{wal_path_for, SnapshotId};
+use ppann_core::wal::SnapshotId;
 use ppann_core::{
     BatchExecutor, CloudServer, DurabilityOptions, DurableCatalogError, EncryptedDatabase,
-    EncryptedQuery, FsyncPolicy, MutationError, QueryScratch, SearchParams, DEFAULT_COLLECTION,
-    DEFAULT_COMPACT_BYTES, SNAPSHOT_EXT,
+    EncryptedQuery, FsyncPolicy, MutationError, PersistError, QueryScratch, SearchParams,
+    ServiceStats, DEFAULT_COLLECTION, DEFAULT_COMPACT_BYTES,
 };
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -209,14 +206,6 @@ pub struct ServiceConfig {
     /// other workers keep consuming the ready queue meanwhile, so a giant
     /// batch cannot starve keep-alive peers.
     pub max_batch: usize,
-    /// Worker threads a `SearchBatch` fans out over (clamped to the batch
-    /// size by `BatchExecutor`). `0` means **auto**: the worker count
-    /// capped at the host's available parallelism — fanning one batch
-    /// wider than the physical cores only adds context-switching, which
-    /// on a small host makes batches *slower* than sequential frames.
-    /// Lower it explicitly when several clients batch concurrently
-    /// (OPERATIONS.md §7).
-    pub batch_threads: usize,
     /// Upstream primary address to replicate from. When set, this
     /// process starts as a **follower**: it continuously pulls every
     /// upstream collection's snapshot and WAL stream, serves
@@ -245,7 +234,6 @@ impl ServiceConfig {
             max_connections: 1024,
             max_search_k: 1 << 16,
             max_batch: 1024,
-            batch_threads: 0,
             replicate_from: None,
         }
     }
@@ -260,24 +248,6 @@ impl ServiceConfig {
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
-    }
-
-    /// Replaces the `SearchBatch` fan-out width; `0` restores auto
-    /// (see [`Self::batch_threads`]).
-    pub fn with_batch_threads(mut self, batch_threads: usize) -> Self {
-        self.batch_threads = batch_threads;
-        self
-    }
-
-    /// The effective `SearchBatch` fan-out width: `batch_threads`, or —
-    /// when 0, "auto" — the worker count capped at the host's available
-    /// parallelism.
-    pub fn effective_batch_threads(&self) -> usize {
-        if self.batch_threads != 0 {
-            return self.batch_threads;
-        }
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        self.workers.min(cores).max(1)
     }
 
     /// Replaces the per-frame batch size bound (clamped to ≥ 1).
@@ -356,62 +326,19 @@ impl ServiceConfig {
     }
 }
 
-/// Per-collection service counters plus the catalog lifecycle guard.
-///
-/// Each collection's `ServiceStats` counts the frames routed to it —
-/// queries, maintenance, routed bytes, latency buckets — while the
-/// process-wide `ServiceStats` keeps aggregating everything, so the
-/// legacy nameless `Stats` frame still reports whole-process counters.
-///
-/// Slots are registered *before* a collection becomes visible in the
-/// catalog and removed when it is dropped, so a routed frame that
-/// resolves its collection always finds a slot — a miss means the
-/// collection was concurrently dropped. The map is a `RwLock` because
-/// every routed frame reads it: only lifecycle operations take the
-/// write lock.
-#[derive(Default)]
-pub(crate) struct PerCollectionStats {
-    map: RwLock<HashMap<String, Arc<ServiceStats>>>,
-    /// Serializes create/drop sequences — catalog mutation, snapshot
-    /// file I/O, and slot registration — against each other. Without
-    /// it, a drop can interleave between a create's name reservation
-    /// and its snapshot write, tolerating the not-yet-written file and
-    /// then being undone by it: an orphan snapshot that resurrects the
-    /// dropped collection on the next `--data-dir` restart. Routed
-    /// frames never touch this lock.
-    lifecycle: Mutex<()>,
-}
-
-impl PerCollectionStats {
-    /// The stats slot for `name`, if the collection is (still) live.
-    fn get(&self, name: &str) -> Option<Arc<ServiceStats>> {
-        self.map.read().get(name).cloned()
-    }
-
-    /// Registers (or returns) the slot for `name`; uptime starts here.
-    pub(crate) fn insert(&self, name: &str) -> Arc<ServiceStats> {
-        Arc::clone(self.map.write().entry(name.to_string()).or_default())
-    }
-
-    pub(crate) fn remove(&self, name: &str) {
-        self.map.write().remove(name);
-    }
-
-    /// Takes the lifecycle lock, serializing against wire-driven
-    /// create/drop sequences (the follower sync threads install and
-    /// drop replicas under it too).
-    pub(crate) fn lock_lifecycle(&self) -> std::sync::MutexGuard<'_, ()> {
-        self.lifecycle.lock()
-    }
-}
-
-/// What every worker shares: the catalog and its per-collection stats
-/// slots, the configuration, the process-wide counters, the reactor
-/// handle and the replication role.
+/// What every worker shares: the catalog, the configuration, this
+/// listener's process-wide counters, the reactor handle and the
+/// replication role.
 struct Service {
     catalog: Arc<Catalog>,
-    coll_stats: Arc<PerCollectionStats>,
     config: ServiceConfig,
+    /// The `SearchBatch` fan-out width (clamped to the batch size by
+    /// `BatchExecutor`): the worker count capped at the host's available
+    /// parallelism — fanning one batch wider than the cores only adds
+    /// context-switching, which on a small host makes batches *slower*
+    /// than sequential frames (OPERATIONS.md §7). Read once at start:
+    /// the parallelism query reads cgroup files.
+    batch_threads: usize,
     stats: Arc<ServiceStats>,
     shared: Arc<Shared>,
     role: Arc<ReplicationRole>,
@@ -438,14 +365,9 @@ impl ServiceHandle {
         &self.svc.stats
     }
 
-    /// The served catalog (shared with the workers: collections created
-    /// or dropped over the wire are visible here immediately).
-    ///
-    /// The reverse direction is not routable: a collection registered
-    /// directly on this catalog after the service started has no stats
-    /// slot, and frames naming it are answered `UnknownCollection`.
-    /// Register collections before calling [`serve_catalog`], or over
-    /// the wire with `CreateCollection`.
+    /// The served catalog, shared with the workers: collections created
+    /// or dropped over the wire are visible here immediately, and one
+    /// created or dropped here is served or refused from the next frame.
     pub fn catalog(&self) -> &Arc<Catalog> {
         &self.svc.catalog
     }
@@ -556,12 +478,6 @@ pub fn serve_catalog(
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let stats = Arc::new(ServiceStats::new());
-    let coll_stats = Arc::new(PerCollectionStats::default());
-    // Register stats slots up front so a collection's uptime starts at
-    // service start, not at its first frame.
-    for info in catalog.list() {
-        coll_stats.insert(&info.name);
-    }
     let shared = Arc::new(Shared::new(Arc::clone(&stats))?);
     let workers = config.workers.max(1);
     let role = match &config.replicate_from {
@@ -569,8 +485,10 @@ pub fn serve_catalog(
         None => ReplicationRole::primary(),
     };
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let batch_threads = workers.min(cores);
     let svc =
-        Arc::new(Service { catalog, coll_stats, config: config.clone(), stats, shared, role });
+        Arc::new(Service { catalog, config: config.clone(), batch_threads, stats, shared, role });
 
     let mut threads = Vec::with_capacity(workers + 2);
     for _ in 0..workers {
@@ -594,7 +512,6 @@ pub fn serve_catalog(
         threads.push(replication::spawn_follower(FollowerCtx {
             upstream: upstream.clone(),
             catalog: Arc::clone(&svc.catalog),
-            coll_stats: Arc::clone(&svc.coll_stats),
             role: Arc::clone(&svc.role),
             shared: Arc::clone(&svc.shared),
             max_frame: config.max_frame,
@@ -859,36 +776,8 @@ fn bad_request(message: impl Into<String>) -> Refusal {
     (ErrorCode::BadRequest, message.into())
 }
 
-/// Resolves a request's collection reference: the raw wire name (or the
-/// implicit `"default"` of a nameless legacy frame) to a live collection
-/// handle plus its stats slot. `Err` carries the error frame to answer —
-/// malformed names are `BadRequest`, well-formed-but-absent ones
-/// `UnknownCollection`; both keep the connection open.
-fn resolve_collection(
-    collection: &Option<WireName>,
-    catalog: &Catalog,
-    coll_stats: &PerCollectionStats,
-) -> Result<(Arc<Collection>, Arc<ServiceStats>), Refusal> {
-    let name = match collection {
-        None => DEFAULT_COLLECTION,
-        Some(bytes) => decode_name(bytes)?,
-    };
-    let coll = catalog
-        .get(name)
-        .ok_or_else(|| (ErrorCode::UnknownCollection, format!("unknown collection `{name}`")))?;
-    // Slots are registered before a collection becomes visible, so a
-    // miss here means the collection was dropped between the two
-    // lookups — answer as if the catalog lookup had already missed,
-    // rather than resurrecting a stale slot a later re-create of the
-    // same name would inherit.
-    let stats = coll_stats
-        .get(name)
-        .ok_or_else(|| (ErrorCode::UnknownCollection, format!("unknown collection `{name}`")))?;
-    Ok((coll, stats))
-}
-
 /// Decodes and validates an owner-supplied collection name for the
-/// catalog-management frames (stricter than [`resolve_collection`]: no
+/// catalog-management frames (stricter than `Request::route`: no
 /// default fallback, existence is checked by the caller).
 fn decode_name(name: &[u8]) -> Result<&str, Refusal> {
     let name =
@@ -903,23 +792,14 @@ fn decode_name(name: &[u8]) -> Result<&str, Refusal> {
 /// built.
 const MAX_CREATE_DIM: u64 = 1 << 16;
 
-/// The guarded body of `CreateCollection` — name reservation, snapshot
-/// write, stats-slot registration. The caller holds the lifecycle lock
-/// (see `PerCollectionStats::lifecycle`) so a concurrent drop of the
-/// same name cannot interleave, and sends the reply only after
-/// releasing it. `Err` is the error frame to answer with.
-fn create_collection_locked(
+/// The body of `CreateCollection`. `Err` is the error frame to answer
+/// with.
+fn create_collection(
     catalog: &Catalog,
-    coll_stats: &PerCollectionStats,
     config: &ServiceConfig,
     name: &str,
     dim: u64,
 ) -> Result<(), Refusal> {
-    // Stats slot first: a collection visible in the catalog must always
-    // have one (`resolve_collection` treats a missing slot as a
-    // concurrent drop). On a duplicate create this returns the live
-    // collection's slot, untouched.
-    coll_stats.insert(name); // uptime starts at creation
     let db = EncryptedDatabase::empty(dim as usize);
     let Some(dir) = &config.data_dir else {
         // In-memory-only catalog: reserve the name, nothing to persist.
@@ -933,75 +813,11 @@ fn create_collection_locked(
     // never saw an ack).
     match catalog.create_durable(name, db, dir, config.durability()) {
         Ok(_) => Ok(()),
-        // Duplicate name — nothing was built, no file was touched, and
-        // the slot belongs to the live collection.
+        // Duplicate name — nothing was built, no file was touched.
         Err(DurableCatalogError::Catalog(e)) => Err(bad_request(e.to_string())),
         Err(DurableCatalogError::Persist(e)) => {
-            // The name was free but persistence failed, so the slot is
-            // the one registered above — roll it back.
-            coll_stats.remove(name);
             Err((ErrorCode::Internal, format!("collection persist failed: {e}")))
         }
-    }
-}
-
-/// The guarded body of `DropCollection`. The caller holds the lifecycle
-/// lock, so a create of this name is either fully persisted before we
-/// look or starts after we are done — its snapshot can never
-/// materialize behind our back.
-fn drop_collection_locked(
-    catalog: &Catalog,
-    coll_stats: &PerCollectionStats,
-    config: &ServiceConfig,
-    name: &str,
-) -> Result<(), Refusal> {
-    let Some(coll) = catalog.get(name) else {
-        return Err((ErrorCode::UnknownCollection, format!("unknown collection `{name}`")));
-    };
-    // Delete the snapshot (and its WAL) before the in-memory drop: if
-    // the files cannot go away the collection must not either, or a
-    // restart would resurrect it.
-    if coll.is_durable() {
-        // The deletion runs through the collection handle, under its
-        // WAL mutex, and marks the collection dropped — so a concurrent
-        // Insert that already resolved the handle (and could otherwise
-        // cross the compaction threshold and recreate both files after
-        // our delete) either finishes entirely before the files go away
-        // or fails unacknowledged after.
-        if let Err(e) = coll.retire_durable() {
-            return Err((ErrorCode::Internal, format!("delete of collection files failed: {e}")));
-        }
-    } else if let Some(dir) = &config.data_dir {
-        // A non-durable collection (booted via `Catalog::load_dir`
-        // without WAL attachment) may still have a snapshot in the data
-        // directory. It never writes files itself — no log, no
-        // compaction — so path-based removal has no recreate race.
-        // Snapshot first: a crash in between leaves an orphan `.wal`
-        // the loader ignores, while the reverse order would leave a
-        // snapshot that resurrects the collection minus its logged tail.
-        let snapshot = dir.join(format!("{name}.{SNAPSHOT_EXT}"));
-        for path in [snapshot.clone(), wal_path_for(&snapshot)] {
-            match std::fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    return Err((
-                        ErrorCode::Internal,
-                        format!("delete of {} failed: {e}", path.display()),
-                    ))
-                }
-            }
-        }
-    }
-    match catalog.drop_collection(name) {
-        Ok(_) => {
-            coll_stats.remove(name);
-            Ok(())
-        }
-        // Unreachable while every wire-driven drop holds the lifecycle
-        // lock; kept defensive for non-wire callers mutating the shared
-        // catalog.
-        Err(e) => Err((ErrorCode::UnknownCollection, e.to_string())),
     }
 }
 
@@ -1034,7 +850,8 @@ fn serve_frame(
     st.ready |= answer.is_ok();
     let fate =
         if shutdown || (handshake && answer.is_err()) { ConnFate::Close } else { ConnFate::Keep };
-    send_reply(&mut st.write_buf, &mut ws.encode, &svc.stats, req.routed.as_deref(), answer);
+    let routed = req.routed.as_deref().map(Collection::stats);
+    send_reply(&mut st.write_buf, &mut ws.encode, &svc.stats, routed, answer);
     if shutdown {
         // Raise the flag *and* wake the reactor so teardown starts now,
         // not at its next deadline.
@@ -1077,24 +894,30 @@ struct Request<'a> {
     svc: &'a Service,
     /// The request frame's wire size.
     frame_bytes: u64,
-    /// The stats slot of the collection the request was routed to. From
-    /// routing on, the request's bytes, its reply and a refusal count
-    /// against the collection as well as process-wide; a refusal before
+    /// The collection the request was routed to. From routing on, the
+    /// request's bytes, its reply and a refusal count against the
+    /// collection's counters as well as process-wide; a refusal before
     /// routing counts process-wide only.
-    routed: Option<Arc<ServiceStats>>,
+    routed: Option<Arc<Collection>>,
 }
 
 impl Request<'_> {
     /// Routes the request to the collection it names (a nameless legacy
-    /// frame to `"default"`).
-    fn route(
-        &mut self,
-        name: &Option<WireName>,
-    ) -> Result<(Arc<Collection>, Arc<ServiceStats>), Refusal> {
-        let (coll, cstats) = resolve_collection(name, &self.svc.catalog, &self.svc.coll_stats)?;
-        cstats.add_bytes_in(self.frame_bytes);
-        self.routed = Some(Arc::clone(&cstats));
-        Ok((coll, cstats))
+    /// frame to `"default"`) with one catalog lookup. `Err` carries the
+    /// error frame to answer — malformed names are `BadRequest`,
+    /// well-formed-but-absent ones `UnknownCollection`; both keep the
+    /// connection open.
+    fn route(&mut self, collection: &Option<WireName>) -> Result<Arc<Collection>, Refusal> {
+        let name = match collection {
+            None => DEFAULT_COLLECTION,
+            Some(bytes) => decode_name(bytes)?,
+        };
+        let coll = self.svc.catalog.get(name).ok_or_else(|| {
+            (ErrorCode::UnknownCollection, format!("unknown collection `{name}`"))
+        })?;
+        coll.stats().add_bytes_in(self.frame_bytes);
+        self.routed = Some(Arc::clone(&coll));
+        Ok(coll)
     }
 
     /// The gate of every owner frame: a follower refuses `mutating` ones
@@ -1117,8 +940,8 @@ impl Request<'_> {
     /// to the collection's.
     fn count(&self, record: impl Fn(&ServiceStats)) {
         record(&self.svc.stats);
-        if let Some(cstats) = &self.routed {
-            record(cstats);
+        if let Some(coll) = &self.routed {
+            record(coll.stats());
         }
     }
 
@@ -1129,7 +952,7 @@ impl Request<'_> {
         let config = &svc.config;
         match frame {
             Frame::Search { collection, params, query } => {
-                let (coll, _) = self.route(&collection)?;
+                let coll = self.route(&collection)?;
                 validate_query(&query, &params, coll.dim(), config).map_err(bad_request)?;
                 let started = Instant::now();
                 let outcome = coll.search_in(scratch, &query, &params);
@@ -1138,7 +961,7 @@ impl Request<'_> {
                 Ok(Frame::SearchResult(outcome))
             }
             Frame::SearchBatch { collection, params, queries } => {
-                let (coll, _) = self.route(&collection)?;
+                let coll = self.route(&collection)?;
                 // An empty batch is well-formed on the wire but answers
                 // nothing — refuse it rather than invent an empty reply a
                 // buggy client would silently accept.
@@ -1177,12 +1000,12 @@ impl Request<'_> {
                         config.max_frame
                     )));
                 }
-                // Fan the batch across `batch_threads` scoped workers
+                // Fan the batch across min(workers, cores) scoped workers
                 // (clamped to the batch size), each query searching under
                 // the collection's shared lock; a one-thread batch runs
                 // inline through this worker's warm scratch.
                 let started = Instant::now();
-                let outcomes = BatchExecutor::new(coll, config.effective_batch_threads())
+                let outcomes = BatchExecutor::new(coll, svc.batch_threads)
                     .run_in(scratch, &queries, &params)
                     .outcomes;
                 // Every query in the batch completes when its frame's
@@ -1199,14 +1022,14 @@ impl Request<'_> {
             }
             Frame::Insert { collection, token, c_sap, c_dce } => {
                 self.owner(token, true)?;
-                let (coll, _) = self.route(&collection)?;
+                let coll = self.route(&collection)?;
                 let id = coll.insert(c_sap, c_dce).map_err(refused)?;
                 self.count(ServiceStats::record_insert);
                 Ok(Frame::InsertAck { id })
             }
             Frame::Delete { collection, token, id } => {
                 self.owner(token, true)?;
-                let (coll, _) = self.route(&collection)?;
+                let coll = self.route(&collection)?;
                 if !coll.try_delete(id).map_err(refused)? {
                     return Err(refused(MutationError::NotLive(id)));
                 }
@@ -1219,16 +1042,16 @@ impl Request<'_> {
                 Ok(Frame::StatsReply(svc.stats.snapshot(svc.catalog.total_live() as u64)))
             }
             Frame::Stats { collection: collection @ Some(_) } => {
-                let (coll, cstats) = self.route(&collection)?;
-                // The per-collection slot counts the frames routed to this
-                // collection, but the connection gauges are reactor state —
-                // connections are not owned by any collection, so the
-                // slot's own gauges stay zero forever. Report the
+                let coll = self.route(&collection)?;
+                // The collection's counters count the frames routed to it
+                // by every listener, but the connection gauges are reactor
+                // state — connections are not owned by any collection, so
+                // the collection's own gauges stay zero forever. Report the
                 // process-global gauges instead of misreporting "0
                 // connections" next to real per-collection request
                 // counters (PROTOCOL.md §3.10).
                 let stats = &svc.stats;
-                let mut snap = cstats.snapshot(coll.live_len() as u64);
+                let mut snap = coll.stats().snapshot(coll.live_len() as u64);
                 snap.conns_parked = stats.conns_parked();
                 snap.conns_active = stats.conns_active();
                 snap.ready_depth = stats.ready_depth();
@@ -1263,21 +1086,24 @@ impl Request<'_> {
                         "shards must be 1 (sharded collections are retired), got {shards}"
                     )));
                 }
-                // The mutation runs under the lifecycle lock, which is
-                // released before the reply is buffered (and the reply
-                // write is non-blocking anyway) — an owner connection that
-                // stops reading cannot stall other lifecycle frames.
-                let _lifecycle = svc.coll_stats.lock_lifecycle();
-                create_collection_locked(&svc.catalog, &svc.coll_stats, config, name, dim)?;
+                create_collection(&svc.catalog, config, name, dim)?;
                 Ok(Frame::CreateCollectionAck)
             }
             Frame::DropCollection { token, name } => {
                 self.owner(token, true)?;
                 let name = decode_name(&name)?;
-                // Same locking discipline as CreateCollection.
-                let _lifecycle = svc.coll_stats.lock_lifecycle();
-                drop_collection_locked(&svc.catalog, &svc.coll_stats, config, name)?;
-                Ok(Frame::DropCollectionAck)
+                // The catalog deletes a durable collection's snapshot and
+                // WAL before it unregisters it: if the files cannot go
+                // away the collection must not either, or a restart would
+                // resurrect it.
+                match svc.catalog.drop_collection(name) {
+                    Ok(_) => Ok(Frame::DropCollectionAck),
+                    Err(DurableCatalogError::Persist(PersistError::Io(e))) => Err((
+                        ErrorCode::Internal,
+                        format!("delete of collection files failed: {e}"),
+                    )),
+                    Err(e) => Err((ErrorCode::UnknownCollection, e.to_string())),
+                }
             }
             Frame::Shutdown { token } => {
                 self.owner(token, false)?;
@@ -1298,12 +1124,12 @@ impl Request<'_> {
             // only "session state" a pull needs is the follower's own
             // offsets, which it carries in every request.
             Frame::ReplicaHello { collection, seal_len, seal_crc, snapshot_offset, log_offset } => {
-                let (coll, _) = self.route(&Some(collection))?;
+                let coll = self.route(&Some(collection))?;
                 let seal = SnapshotId { len: seal_len, crc: seal_crc };
                 replication::serve_pull(&coll, seal, Some(snapshot_offset), log_offset)
             }
             Frame::ReplicaAck { collection, seal_len, seal_crc, applied_offset } => {
-                let (coll, _) = self.route(&Some(collection))?;
+                let coll = self.route(&Some(collection))?;
                 let seal = SnapshotId { len: seal_len, crc: seal_crc };
                 replication::serve_pull(&coll, seal, None, applied_offset)
             }
@@ -1363,7 +1189,7 @@ fn validate_query(
 /// `Error` frame of a refusal, and credits it by one accounting rule —
 /// `bytes_out` (and for a refusal `errors`) count process-wide and, when
 /// the request was `routed` to a collection, against the collection's
-/// slot too, so per-collection error rates locate the misbehaving
+/// counters too, so per-collection error rates locate the misbehaving
 /// tenant. Buffering cannot fail; delivery failures surface at flush
 /// time, where the connection is closed.
 fn send_reply(

@@ -50,12 +50,11 @@
 //! plaintext vectors, plaintext distances or key material — see DESIGN.md
 //! §7 for the threat-model placement of this boundary.
 
-use crate::stats::StatsSnapshot;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ppann_core::wire::{
     get_dce_ciphertext, get_f64_slice, put_dce_ciphertext, put_f64_slice, WireError,
 };
-use ppann_core::{EncryptedQuery, SearchOutcome, SearchParams};
+use ppann_core::{EncryptedQuery, SearchOutcome, SearchParams, StatsSnapshot};
 use ppann_dce::DceCiphertext;
 
 /// Frame magic: the first four bytes of every frame.

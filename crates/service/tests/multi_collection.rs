@@ -13,7 +13,7 @@ use ppann_core::{
 use ppann_linalg::{seeded_rng, uniform_vec};
 use ppann_service::wire::{tag, HEADER_LEN, MAGIC};
 use ppann_service::{
-    serve_catalog, ClientError, ErrorCode, Frame, ServiceClient, ServiceConfig,
+    serve_catalog, ClientError, ErrorCode, Frame, ServiceClient, ServiceConfig, StatsSnapshot,
     COLLECTION_KIND_CLOUD,
 };
 use std::io::Write;
@@ -368,7 +368,7 @@ fn data_dir_persists_create_and_drop_across_restarts() {
     .unwrap();
 
     let boot = |dir: &std::path::Path| {
-        let catalog = Arc::new(Catalog::load_dir(dir).unwrap());
+        let catalog = Arc::new(Catalog::load_dir_durable(dir, Default::default()).unwrap().0);
         serve_catalog(
             Arc::clone(&catalog),
             ServiceConfig::loopback().with_owner_token(TOKEN).with_data_dir(dir),
@@ -424,6 +424,63 @@ fn data_dir_persists_create_and_drop_across_restarts() {
     assert_eq!(scratch.live, 0, "in-memory inserts are not persisted; created empty");
     handle.request_stop();
     handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two listeners over one catalog with a data dir — the shape of
+/// `serve --data-dir D --replica-listen A2`. A collection created and
+/// filled through listener A answers the same ids through listener B,
+/// its one set of counters holds both listeners' frames, and a
+/// collection registered in-process after start answers on both.
+#[test]
+fn two_listeners_over_one_catalog_serve_every_collection() {
+    let dir = std::env::temp_dir().join(format!("ppanns_svc_two_listeners_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let catalog = Arc::new(Catalog::new());
+    let config = ServiceConfig::loopback().with_owner_token(TOKEN).with_data_dir(&dir);
+    let a = serve_catalog(Arc::clone(&catalog), config.clone()).unwrap();
+    let b = serve_catalog(catalog, config).unwrap();
+    let mut client_a = ServiceClient::connect(a.local_addr(), None).unwrap();
+    let mut client_b = ServiceClient::connect(b.local_addr(), None).unwrap();
+
+    let (data, owner) = make_owner(40, 4, 7110);
+    client_a.create_collection(TOKEN, "late", 4).unwrap();
+    for (i, v) in data.iter().enumerate() {
+        let (c_sap, c_dce) = owner.encrypt_for_insert(v, i as u64);
+        client_a.insert_in("late", TOKEN, c_sap, c_dce).unwrap();
+    }
+    let mut user = owner.authorize_user();
+    for i in [0usize, 9, 27] {
+        let q = user.encrypt_query(&data[i], 3);
+        let on_a = client_a.search_in("late", &q, &params()).unwrap();
+        let on_b = client_b.search_in("late", &q, &params()).unwrap();
+        assert_eq!(on_b.ids, on_a.ids, "query {i}");
+        assert_eq!(on_a.ids[0], i as u32, "self-1NN for {i}");
+    }
+
+    // 40 inserts and 3 queries through A, 3 queries through B: both
+    // listeners report the same counters, and those count every frame.
+    let counters = |s: StatsSnapshot| (s.queries, s.inserts, s.deletes, s.errors, s.live);
+    let via_a = client_a.stats_in("late").unwrap();
+    let via_b = client_b.stats_in("late").unwrap();
+    assert_eq!(counters(via_a), (6, 40, 0, 0, 40));
+    assert_eq!(counters(via_b), counters(via_a));
+    assert!(via_b.bytes_in > via_a.bytes_in, "B's Stats frame counts on top of A's");
+    // The process-wide counters stay per listener.
+    assert_eq!((a.stats().queries(), b.stats().queries()), (3, 3));
+
+    let (data_d, owner_d) = make_owner(30, 5, 7111);
+    a.catalog().create("direct", owner_d.outsource(&data_d)).unwrap();
+    let mut user_d = owner_d.authorize_user();
+    let q = user_d.encrypt_query(&data_d[4], 2);
+    assert_eq!(client_a.search_in("direct", &q, &params()).unwrap().ids[0], 4);
+    assert_eq!(client_b.search_in("direct", &q, &params()).unwrap().ids[0], 4);
+
+    b.request_stop();
+    b.join();
+    a.request_stop();
+    a.join();
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -129,6 +129,39 @@ fn follower_bootstraps_tails_and_serves_reads() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A follower pulling from the primary's second listener over the same
+/// catalog (`--replica-listen`) replicates a collection created through
+/// the first listener after both started.
+#[test]
+fn follower_of_the_replica_listener_converges_on_a_late_collection() {
+    let dir = temp_dir("replica_listener");
+    let catalog = Arc::new(Catalog::new());
+    let config = ServiceConfig::loopback().with_owner_token(TOKEN).with_data_dir(&dir);
+    let primary = serve_catalog(Arc::clone(&catalog), config.clone()).unwrap();
+    let replica_listener = serve_catalog(catalog, config).unwrap();
+    let follower = spawn_follower(replica_listener.local_addr());
+
+    let mut owner_client = ServiceClient::connect(primary.local_addr(), None).unwrap();
+    owner_client.create_collection(TOKEN, COLL, DIM).unwrap();
+    let (data, owner) = make_owner(15, 4343);
+    for (i, v) in data.iter().enumerate() {
+        let (c_sap, c_dce) = owner.encrypt_for_insert(v, i as u64);
+        owner_client.insert_in(COLL, TOKEN, c_sap, c_dce).unwrap();
+    }
+    await_live(&follower, COLL, 15);
+
+    let mut user = owner.authorize_user();
+    let mut follower_client = ServiceClient::connect(follower.local_addr(), None).unwrap();
+    let q = user.encrypt_query(&data[6], 3);
+    let on_primary = owner_client.search_in(COLL, &q, &params()).unwrap();
+    assert_eq!(follower_client.search_in(COLL, &q, &params()).unwrap().ids, on_primary.ids);
+
+    drop(follower);
+    drop(replica_listener);
+    drop(primary);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The `NotPrimary` contract: every mutating frame is refused on a
 /// follower — regardless of token — until an owner-authenticated
 /// `Promote` flips the role, after which writes land locally.
