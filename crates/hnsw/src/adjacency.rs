@@ -119,25 +119,6 @@ impl Adjacency {
             list.extend(links);
         }
     }
-
-    /// Removes every occurrence of `nb` from the list of `id` on `layer`,
-    /// keeping the order of the rest.
-    pub(crate) fn remove_link(&mut self, id: u32, layer: usize, nb: u32) {
-        if layer == 0 {
-            let row = self.row_mut(id);
-            let (len, slots) = row.split_first_mut().expect("rows are never empty");
-            let mut kept = 0;
-            for i in 0..*len as usize {
-                if slots[i] != nb {
-                    slots[kept] = slots[i];
-                    kept += 1;
-                }
-            }
-            *len = kept as u32;
-        } else {
-            self.upper[id as usize][layer - 1].retain(|&x| x != nb);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +126,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rows_keep_order_through_push_set_and_remove() {
+    fn rows_keep_order_through_push_and_set() {
         let mut adj = Adjacency::with_capacity(3, 2).unwrap();
         assert_eq!((adj.add_node(0), adj.add_node(2)), (0, 1));
         assert_eq!((adj.level(0), adj.level(1)), (0, 2));
@@ -153,11 +134,9 @@ mod tests {
             adj.push_link(0, 0, nb);
         }
         assert_eq!(adj.links_at(0, 0), &[1, 7, 1, 9], "m0 links plus the spare");
-        adj.remove_link(0, 0, 1);
-        assert_eq!(adj.links_at(0, 0), &[7, 9]);
-        adj.set_links(0, 0, [4, 5, 6]);
-        assert_eq!(adj.links_at(0, 0), &[4, 5, 6]);
-        assert_eq!(adj.row(0), &[3, 4, 5, 6, 9], "stale slots past len are never read");
+        adj.set_links(0, 0, [4, 5]);
+        assert_eq!(adj.links_at(0, 0), &[4, 5]);
+        assert_eq!(adj.row(0), &[2, 4, 5, 1, 9], "stale slots past len are never read");
         assert!(adj.links_at(1, 0).is_empty());
         adj.push_link(1, 2, 0);
         adj.set_links(1, 1, [0]);

@@ -495,10 +495,17 @@ impl Hnsw {
         &scratch.out
     }
 
-    /// Deletes a vector (paper Section V-D): tombstones the node, strips its
-    /// edges, and repairs every in-neighbor by re-running k-ANN + neighbor
-    /// selection for it — out-neighbors are unaffected, as the paper notes.
-    /// Runs entirely server-side (no data-owner involvement).
+    /// Deletes a vector (paper Section V-D): tombstones the node and
+    /// repairs every in-neighbor `v` on every layer `l` it links from —
+    /// out-neighbors are unaffected, as the paper notes. Runs entirely
+    /// server-side (no data-owner involvement).
+    ///
+    /// The repair is local (DESIGN.md §3, S8): `v`'s new list is
+    /// `select_neighbors` over `v`'s surviving links plus the
+    /// deleted node's links on `l`, less tombstones, `v` itself and
+    /// duplicates, in that order. The pool is at most `2·m0` ids scored
+    /// with one batched call, where re-inserting `v` (the paper's wording)
+    /// would run an `ef_construction` beam over the whole graph.
     ///
     /// # Panics
     /// Panics if `id` is out of range or already deleted.
@@ -519,64 +526,39 @@ impl Hnsw {
                 }
             }
         }
-        // Strip edges touching the tombstone.
-        for &v in in_neighbors.iter().flatten() {
-            for layer in 0..=self.adj.level(v) {
-                self.adj.remove_link(v, layer, id);
-            }
-        }
-        for layer in 0..=max_layer {
-            self.adj.set_links(id, layer, []);
-        }
 
         // Move the entry point off the tombstone.
         if self.entry == Some(id) {
             self.entry = self.live_ids().max_by_key(|&i| self.adj.level(i));
         }
 
-        // Repair each in-neighbor: re-select its layer links from a fresh
-        // k-ANN of itself ("reinsert it into HNSW" per the paper).
+        // Repair each in-neighbor from its 2-hop neighborhood through the
+        // tombstone; the tombstone's own lists are read here, then cleared.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let mut base = std::mem::take(&mut scratch.base);
-        scratch.dist_comps = 0;
+        let SearchScratch { fresh: pool, dists, out: cands, dist_comps, .. } = &mut scratch;
+        *dist_comps = 0;
         for (layer, vs) in in_neighbors.iter().enumerate() {
             for &v in vs {
-                if self.entry.is_none() {
-                    break;
+                pool.clear();
+                let around = self.adj.links_at(v, layer).iter().chain(self.adj.links_at(id, layer));
+                for &c in around {
+                    if c != v && !self.deleted[c as usize] && !pool.contains(&c) {
+                        pool.push(c);
+                    }
                 }
-                base.clear();
-                base.extend_from_slice(self.store.get(v));
-                let eps = [self.entry.unwrap()];
-                self.search_layer(
-                    &mut scratch,
-                    &base,
-                    &eps,
-                    self.params.ef_construction,
-                    layer.min(self.adj.level(self.entry.unwrap())),
-                    true,
+                self.dist_many(self.store.get(v), pool, dists, dist_comps);
+                cands.clear();
+                cands.extend(
+                    pool.iter().zip(dists.iter()).map(|(&nb, &d)| Neighbor { id: nb, dist: d }),
                 );
-                let cands: Vec<Neighbor> = scratch
-                    .out
-                    .iter()
-                    .copied()
-                    .filter(|n| n.id != v && !self.is_deleted(n.id))
-                    .collect();
-                let m = self.params.max_degree(layer);
-                let mut chosen = self.select_neighbors(&cands, layer, &mut scratch.dist_comps);
-                // Keep existing live links that the re-selection missed.
-                for &e in self.adj.links_at(v, layer) {
-                    if chosen.len() >= m {
-                        break;
-                    }
-                    if !chosen.iter().any(|c| c.id == e) {
-                        chosen.push(Neighbor { id: e, dist: 0.0 });
-                    }
-                }
+                let chosen = self.select_neighbors(cands, layer, dist_comps);
                 self.adj.set_links(v, layer, chosen.into_iter().map(|n| n.id));
             }
         }
+        for layer in 0..=max_layer {
+            self.adj.set_links(id, layer, []);
+        }
         self.publish(scratch.dist_comps);
-        scratch.base = base;
         self.scratch = scratch;
     }
 
@@ -621,6 +603,7 @@ mod tests {
     use super::*;
     use crate::bruteforce::exact_knn;
     use ppann_linalg::{seeded_rng, uniform_vec};
+    use proptest::prelude::*;
     use rand::Rng;
 
     fn clustered(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -786,5 +769,76 @@ mod tests {
         index.delete(ep);
         assert_ne!(index.entry_point(), Some(ep));
         assert!(!index.search(&pts[5], 3, 20).is_empty());
+    }
+
+    /// The delete rule of [`Hnsw::delete`] written the plain way: the
+    /// in-neighbors of each layer by scanning every slot, each pool by
+    /// concatenating, filtering and deduplicating `Vec`s, each candidate
+    /// scored on its own.
+    fn reference_delete(index: &mut Hnsw, id: u32) {
+        index.deleted[id as usize] = true;
+        index.live -= 1;
+        if index.entry == Some(id) {
+            index.entry = index.live_ids().max_by_key(|&i| index.adj.level(i));
+        }
+        let mut comps = 0;
+        for layer in 0..=index.adj.level(id) {
+            let orphans = index.links(id, layer).to_vec();
+            let in_neighbors: Vec<u32> = (0..index.capacity_slots() as u32)
+                .filter(|&v| !index.is_deleted(v) && index.node_level(v) >= layer)
+                .filter(|&v| index.links(v, layer).contains(&id))
+                .collect();
+            for v in in_neighbors {
+                let mut pool = [index.links(v, layer), &orphans[..]].concat();
+                pool.retain(|&c| c != v && !index.is_deleted(c));
+                let mut unique: Vec<u32> = Vec::new();
+                for c in pool {
+                    if !unique.contains(&c) {
+                        unique.push(c);
+                    }
+                }
+                let base = index.store.get(v);
+                let cands: Vec<Neighbor> = unique
+                    .iter()
+                    .map(|&c| Neighbor { id: c, dist: squared_euclidean(base, index.store.get(c)) })
+                    .collect();
+                let chosen = index.select_neighbors(&cands, layer, &mut comps);
+                index.adj.set_links(v, layer, chosen.into_iter().map(|n| n.id));
+            }
+            index.adj.set_links(id, layer, []);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Over random insert/delete histories, the index whose deletes run
+        /// [`reference_delete`] serializes to the same bytes after every
+        /// operation as the one whose deletes run [`Hnsw::delete`].
+        #[test]
+        fn delete_matches_the_reference_rule(
+            m in 2usize..8,
+            seed in any::<u64>(),
+            d in 1usize..5,
+            kinds in proptest::collection::vec(0u8..3, 1..120),
+            picks in proptest::collection::vec(any::<usize>(), 120),
+            data in proptest::collection::vec(-1.0f64..1.0, 120 * 5),
+        ) {
+            let params = HnswParams { m, m0: 2 * m, ef_construction: 32, seed };
+            let (mut real, mut reference) = (Hnsw::new(d, params), Hnsw::new(d, params));
+            // Op `i` inserts point `i`, or (one time in three) deletes the
+            // live id its pick selects.
+            for (i, &kind) in kinds.iter().enumerate() {
+                if kind == 0 && !real.is_empty() {
+                    let victim = real.live_ids().nth(picks[i] % real.len()).unwrap();
+                    real.delete(victim);
+                    reference_delete(&mut reference, victim);
+                } else {
+                    let point = &data[i * d..(i + 1) * d];
+                    prop_assert_eq!(real.insert(point), reference.insert(point));
+                }
+                prop_assert_eq!(real.to_bytes(), reference.to_bytes(), "diverged at op {}", i);
+            }
+        }
     }
 }
