@@ -62,6 +62,11 @@ impl std::fmt::Display for ClientError {
         match self {
             ClientError::Io(e) => write!(f, "io: {e}"),
             ClientError::Protocol(msg) => write!(f, "protocol: {msg}"),
+            // Some refusals already open with their code's name
+            // ("unknown collection `x`"): print the code once.
+            ClientError::Remote { code, message } if message.starts_with(&code.to_string()) => {
+                write!(f, "server: {message}")
+            }
             ClientError::Remote { code, message } => write!(f, "server: {code}: {message}"),
         }
     }

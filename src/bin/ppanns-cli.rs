@@ -49,14 +49,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
+    let result = parse_flags(rest).and_then(|flags| match command.as_str() {
         "gen" => cmd_gen(&flags),
         "outsource" => cmd_outsource(&flags),
         "serve" => cmd_serve(&flags),
@@ -68,14 +61,33 @@ fn main() -> ExitCode {
         "promote" => cmd_promote(&flags),
         "shutdown" => cmd_shutdown(&flags),
         "tune" => cmd_tune(&flags),
-        other => Err(format!("unknown command `{other}`")),
-    };
+        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(CliError::Usage(e)) => {
             eprintln!("error: {e}\n\n{USAGE}");
             ExitCode::FAILURE
         }
+        Err(CliError::Failed(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command failed. A `Usage` error is the command line's own (an
+/// unknown command, a flag that is missing, clashes or does not parse), so
+/// the usage text follows it; any other failure — a file, the network, a
+/// server's refusal of a well-formed command — prints one `error:` line.
+enum CliError {
+    Usage(String),
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Failed(e)
     }
 }
 
@@ -98,37 +110,42 @@ const USAGE: &str = "usage:
 
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
-            return Err(format!("expected --flag, got `{key}`"));
+            return Err(CliError::Usage(format!("expected --flag, got `{key}`")));
         };
-        let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
+        let value = it.next().ok_or_else(|| CliError::Usage(format!("--{name} needs a value")))?;
         flags.insert(name.to_string(), value.clone());
     }
     Ok(flags)
 }
 
-fn required<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, String> {
-    flags.get(name).map(String::as_str).ok_or_else(|| format!("missing --{name}"))
+fn required<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, CliError> {
+    flags.get(name).map(String::as_str).ok_or_else(|| CliError::Usage(format!("missing --{name}")))
 }
 
-fn parse_or<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("--{name}: cannot parse `{v}`")),
-    }
+fn parse_value<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, CliError> {
+    value.parse().map_err(|_| CliError::Usage(format!("--{name}: cannot parse `{value}`")))
 }
 
-fn cmd_gen(flags: &Flags) -> Result<(), String> {
+fn parse_required<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<T, CliError> {
+    parse_value(name, required(flags, name)?)
+}
+
+fn parse_or<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, CliError> {
+    flags.get(name).map_or(Ok(default), |v| parse_value(name, v))
+}
+
+fn cmd_gen(flags: &Flags) -> Result<(), CliError> {
     let profile = match required(flags, "profile")? {
         "sift" => DatasetProfile::SiftLike,
         "gist" => DatasetProfile::GistLike,
         "glove" => DatasetProfile::GloveLike,
         "deep" => DatasetProfile::DeepLike,
-        other => return Err(format!("unknown profile `{other}`")),
+        other => return Err(CliError::Usage(format!("unknown profile `{other}`"))),
     };
     let n: usize = parse_or(flags, "n", 5_000)?;
     let q: usize = parse_or(flags, "queries", 50)?;
@@ -150,15 +167,15 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn load_base(flags: &Flags) -> Result<Vec<Vec<f64>>, String> {
+fn load_base(flags: &Flags) -> Result<Vec<Vec<f64>>, CliError> {
     let path = PathBuf::from(required(flags, "base")?);
-    read_fvecs(&path, None).map_err(|e| format!("{}: {e}", path.display()))
+    Ok(read_fvecs(&path, None).map_err(|e| format!("{}: {e}", path.display()))?)
 }
 
-fn cmd_outsource(flags: &Flags) -> Result<(), String> {
+fn cmd_outsource(flags: &Flags) -> Result<(), CliError> {
     let base = load_base(flags)?;
     if base.is_empty() {
-        return Err("base file holds no vectors".into());
+        return Err(CliError::Failed("base file holds no vectors".into()));
     }
     let dim = base[0].len();
     let beta: f64 = parse_or(flags, "beta", 1.0)?;
@@ -179,7 +196,7 @@ fn cmd_outsource(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn load_server_and_owner(flags: &Flags) -> Result<(CloudServer, DataOwner), String> {
+fn load_server_and_owner(flags: &Flags) -> Result<(CloudServer, DataOwner), CliError> {
     let db_path = PathBuf::from(required(flags, "db")?);
     let keys_path = PathBuf::from(required(flags, "keys")?);
     let db = EncryptedDatabase::load_from(Path::new(&db_path)).map_err(|e| e.to_string())?;
@@ -187,13 +204,10 @@ fn load_server_and_owner(flags: &Flags) -> Result<(CloudServer, DataOwner), Stri
     Ok((CloudServer::new(db), owner))
 }
 
-fn cmd_serve(flags: &Flags) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
     let addr: String = flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7070".into());
     let workers: usize = parse_or(flags, "workers", 4)?;
-    let token: Option<u64> = match flags.get("token") {
-        None => None,
-        Some(t) => Some(t.parse().map_err(|_| format!("--token: cannot parse `{t}`"))?),
-    };
+    let token: Option<u64> = flags.get("token").map(|t| parse_value("token", t)).transpose()?;
 
     let mut config = ServiceConfig::loopback().with_addr(addr).with_workers(workers);
     if let Some(t) = token {
@@ -208,18 +222,20 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     // collection and serves reads — OPERATIONS.md §10).
     let replicate_from = flags.get("replicate-from");
     if replicate_from.is_some() && (flags.get("db").is_some() || flags.get("data-dir").is_some()) {
-        return Err(
+        return Err(CliError::Usage(
             "--replicate-from is exclusive with --db/--data-dir: a follower's collections \
              come from its upstream and live in memory"
                 .into(),
-        );
+        ));
     }
     let catalog = match (flags.get("db"), flags.get("data-dir")) {
         (None, None) if replicate_from.is_some() => {
             config = config.with_replicate_from(replicate_from.expect("checked above"));
             Catalog::new()
         }
-        (Some(_), Some(_)) => return Err("--db and --data-dir are mutually exclusive".into()),
+        (Some(_), Some(_)) => {
+            return Err(CliError::Usage("--db and --data-dir are mutually exclusive".into()))
+        }
         (Some(db_path), None) => {
             let db = EncryptedDatabase::load_from(Path::new(db_path)).map_err(|e| e.to_string())?;
             let catalog = Catalog::new();
@@ -230,7 +246,9 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             let dir = PathBuf::from(dir);
             let fsync = match flags.get("fsync") {
                 None => FsyncPolicy::Always,
-                Some(v) => FsyncPolicy::parse(v).map_err(|e| format!("--fsync: {e}"))?,
+                Some(v) => {
+                    FsyncPolicy::parse(v).map_err(|e| CliError::Usage(format!("--fsync: {e}")))?
+                }
             };
             let compact_bytes: u64 = parse_or(flags, "compact-bytes", DEFAULT_COMPACT_BYTES)?;
             let opts = DurabilityOptions { fsync, compact_bytes: compact_bytes.max(1) };
@@ -263,7 +281,9 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             config = config.with_data_dir(dir).with_fsync(fsync).with_compact_bytes(compact_bytes);
             catalog
         }
-        (None, None) => return Err("missing --db, --data-dir or --replicate-from".into()),
+        (None, None) => {
+            return Err(CliError::Usage("missing --db, --data-dir or --replicate-from".into()))
+        }
     };
 
     let collections = catalog.list();
@@ -334,7 +354,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_collections(flags: &Flags) -> Result<(), String> {
+fn cmd_collections(flags: &Flags) -> Result<(), CliError> {
     let remote = required(flags, "remote")?;
     let mut client = ServiceClient::connect(remote, None).map_err(|e| format!("{remote}: {e}"))?;
     let entries = client.list_collections().map_err(|e| e.to_string())?;
@@ -345,23 +365,20 @@ fn cmd_collections(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_create(flags: &Flags) -> Result<(), String> {
+fn cmd_create(flags: &Flags) -> Result<(), CliError> {
     let remote = required(flags, "remote")?;
-    let token: u64 =
-        required(flags, "token")?.parse().map_err(|_| "--token: cannot parse".to_string())?;
+    let token: u64 = parse_required(flags, "token")?;
     let name = required(flags, "name")?;
-    let dim: usize =
-        required(flags, "dim")?.parse().map_err(|_| "--dim: cannot parse".to_string())?;
+    let dim: usize = parse_required(flags, "dim")?;
     let mut client = ServiceClient::connect(remote, None).map_err(|e| format!("{remote}: {e}"))?;
     client.create_collection(token, name, dim).map_err(|e| e.to_string())?;
     println!("created empty collection `{name}` ({dim}d) on {remote}");
     Ok(())
 }
 
-fn cmd_drop(flags: &Flags) -> Result<(), String> {
+fn cmd_drop(flags: &Flags) -> Result<(), CliError> {
     let remote = required(flags, "remote")?;
-    let token: u64 =
-        required(flags, "token")?.parse().map_err(|_| "--token: cannot parse".to_string())?;
+    let token: u64 = parse_required(flags, "token")?;
     let name = required(flags, "name")?;
     let mut client = ServiceClient::connect(remote, None).map_err(|e| format!("{remote}: {e}"))?;
     client.drop_collection(token, name).map_err(|e| e.to_string())?;
@@ -369,7 +386,7 @@ fn cmd_drop(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_query_remote(flags: &Flags) -> Result<(), String> {
+fn cmd_query_remote(flags: &Flags) -> Result<(), CliError> {
     let remote = required(flags, "remote")?;
     let keys_path = PathBuf::from(required(flags, "keys")?);
     let owner = DataOwner::load_keys(Path::new(&keys_path)).map_err(|e| e.to_string())?;
@@ -381,9 +398,9 @@ fn cmd_query_remote(flags: &Flags) -> Result<(), String> {
         (Some(p), None) => (PathBuf::from(p), false),
         (None, Some(p)) => (PathBuf::from(p), true),
         (Some(_), Some(_)) => {
-            return Err("--queries and --batch-file are mutually exclusive".into())
+            return Err(CliError::Usage("--queries and --batch-file are mutually exclusive".into()))
         }
-        (None, None) => return Err("missing --queries (or --batch-file)".into()),
+        (None, None) => return Err(CliError::Usage("missing --queries (or --batch-file)".into())),
     };
     let queries = read_fvecs(&queries_path, None).map_err(|e| e.to_string())?;
     let k: usize = parse_or(flags, "k", 10)?;
@@ -391,7 +408,7 @@ fn cmd_query_remote(flags: &Flags) -> Result<(), String> {
     let ef: usize = parse_or(flags, "ef", 160)?;
     let batch_size: usize = parse_or(flags, "batch-size", 64)?;
     if batch_size == 0 {
-        return Err("--batch-size must be at least 1".into());
+        return Err(CliError::Usage("--batch-size must be at least 1".into()));
     }
     let params = SearchParams::from_ratio(k, ratio, ef.max(k * ratio));
 
@@ -446,7 +463,7 @@ fn cmd_query_remote(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(flags: &Flags) -> Result<(), String> {
+fn cmd_stats(flags: &Flags) -> Result<(), CliError> {
     let remote = required(flags, "remote")?;
     let mut client = ServiceClient::connect(remote, None).map_err(|e| format!("{remote}: {e}"))?;
     let s = match flags.get("collection") {
@@ -479,10 +496,9 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_shutdown(flags: &Flags) -> Result<(), String> {
+fn cmd_shutdown(flags: &Flags) -> Result<(), CliError> {
     let remote = required(flags, "remote")?;
-    let token: u64 =
-        required(flags, "token")?.parse().map_err(|_| "--token: cannot parse".to_string())?;
+    let token: u64 = parse_required(flags, "token")?;
     let mut client = ServiceClient::connect(remote, None).map_err(|e| format!("{remote}: {e}"))?;
     client.shutdown(token).map_err(|e| e.to_string())?;
     println!("server at {remote} acknowledged shutdown");
@@ -491,17 +507,16 @@ fn cmd_shutdown(flags: &Flags) -> Result<(), String> {
 
 /// Flips a replication follower to primary (OPERATIONS.md §10 is the
 /// runbook — fence the old primary first).
-fn cmd_promote(flags: &Flags) -> Result<(), String> {
+fn cmd_promote(flags: &Flags) -> Result<(), CliError> {
     let remote = required(flags, "remote")?;
-    let token: u64 =
-        required(flags, "token")?.parse().map_err(|_| "--token: cannot parse".to_string())?;
+    let token: u64 = parse_required(flags, "token")?;
     let mut client = ServiceClient::connect(remote, None).map_err(|e| format!("{remote}: {e}"))?;
     client.promote(token).map_err(|e| e.to_string())?;
     println!("server at {remote} is now the primary (accepting writes)");
     Ok(())
 }
 
-fn cmd_query(flags: &Flags) -> Result<(), String> {
+fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     if flags.contains_key("remote") {
         return cmd_query_remote(flags);
     }
@@ -530,7 +545,7 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_tune(flags: &Flags) -> Result<(), String> {
+fn cmd_tune(flags: &Flags) -> Result<(), CliError> {
     let (server, owner) = load_server_and_owner(flags)?;
     let base = load_base(flags)?;
     let queries_path = PathBuf::from(required(flags, "queries")?);

@@ -288,3 +288,49 @@ fn cli_data_dir_collections_loop() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A server's refusal of a well-formed command is one `error:` line that
+/// names the refusal once; only a command-line mistake prints the usage
+/// text.
+#[test]
+fn cli_prints_a_refusal_on_one_line_and_usage_only_for_argument_errors() {
+    let store = std::env::temp_dir().join(format!("ppanns_cli_refusal_{}", std::process::id()));
+    std::fs::create_dir_all(&store).unwrap();
+    let bin = env!("CARGO_BIN_EXE_ppanns-cli");
+    let mut server = Command::new(bin)
+        .args(["serve", "--data-dir", store.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+        .args(["--token", "56"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Keep the reader alive: the server prints to this pipe until it exits.
+    let mut reader = std::io::BufReader::new(server.stdout.take().unwrap());
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "server exited before serving");
+        if let Some(rest) = line.strip_prefix("serving ") {
+            let at = rest.split(" on ").nth(1).and_then(|r| r.split_whitespace().next());
+            break at.expect("bound address").to_string();
+        }
+    };
+
+    let out = Command::new(bin)
+        .args(["stats", "--remote", &addr, "--collection", "late"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert_eq!(stderr, "error: server: unknown collection `late`\n");
+
+    let out = Command::new(bin).args(["stats", "--collection", "late"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.starts_with("error: missing --remote\n\nusage:"), "{stderr}");
+
+    let out =
+        Command::new(bin).args(["shutdown", "--remote", &addr, "--token", "56"]).output().unwrap();
+    assert!(out.status.success(), "shutdown failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(server.wait().unwrap().success(), "server exited abnormally");
+    std::fs::remove_dir_all(&store).ok();
+}
