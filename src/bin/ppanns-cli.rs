@@ -169,7 +169,7 @@ fn cmd_gen(flags: &Flags) -> Result<(), CliError> {
 
 fn load_base(flags: &Flags) -> Result<Vec<Vec<f64>>, CliError> {
     let path = PathBuf::from(required(flags, "base")?);
-    Ok(read_fvecs(&path, None).map_err(|e| format!("{}: {e}", path.display()))?)
+    read_fvecs(&path, None).map_err(|e| CliError::Failed(format!("{}: {e}", path.display())))
 }
 
 fn cmd_outsource(flags: &Flags) -> Result<(), CliError> {

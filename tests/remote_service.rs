@@ -315,22 +315,24 @@ fn cli_prints_a_refusal_on_one_line_and_usage_only_for_argument_errors() {
         }
     };
 
-    let out = Command::new(bin)
+    let refused = Command::new(bin)
         .args(["stats", "--remote", &addr, "--collection", "late"])
         .output()
         .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success());
-    assert_eq!(stderr, "error: server: unknown collection `late`\n");
-
-    let out = Command::new(bin).args(["stats", "--collection", "late"]).output().unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success());
-    assert!(stderr.starts_with("error: missing --remote\n\nusage:"), "{stderr}");
-
+    let misused = Command::new(bin).args(["stats", "--collection", "late"]).output().unwrap();
+    // Stop the server before asserting, so a failure leaves no process behind.
     let out =
         Command::new(bin).args(["shutdown", "--remote", &addr, "--token", "56"]).output().unwrap();
     assert!(out.status.success(), "shutdown failed: {}", String::from_utf8_lossy(&out.stderr));
     assert!(server.wait().unwrap().success(), "server exited abnormally");
+
+    assert!(!refused.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&refused.stderr),
+        "error: server: unknown collection `late`\n"
+    );
+    let stderr = String::from_utf8_lossy(&misused.stderr);
+    assert!(!misused.status.success());
+    assert!(stderr.starts_with("error: missing --remote\n\nusage:"), "{stderr}");
     std::fs::remove_dir_all(&store).ok();
 }
