@@ -501,11 +501,11 @@ impl Hnsw {
     /// server-side (no data-owner involvement).
     ///
     /// The repair is local (DESIGN.md §3, S8): `v`'s new list is
-    /// `select_neighbors` over `v`'s surviving links plus the
+    /// `select_neighbors` over `v`'s surviving links followed by the
     /// deleted node's links on `l`, less tombstones, `v` itself and
-    /// duplicates, in that order. The pool is at most `2·m0` ids scored
-    /// with one batched call, where re-inserting `v` (the paper's wording)
-    /// would run an `ef_construction` beam over the whole graph.
+    /// repeats. That pool is at most `2·m0` ids, scored with one batched
+    /// call, where re-inserting `v` (the paper's wording) would run an
+    /// `ef_construction` beam over the whole graph.
     ///
     /// # Panics
     /// Panics if `id` is out of range or already deleted.
